@@ -342,6 +342,33 @@ fn usage() -> CliError {
     )
 }
 
+const BENCH_USAGE: &str =
+    "usage: critic bench [--json] [--smoke] [-o FILE] [--min-warm-speedup X] \
+     [--min-cold-speedup X] [--stream-window N] [--max-stream-peak-bytes N]\n       \
+     critic bench --service [--smoke] [--json] [-o FILE] [--max-service-p99-ms X]";
+
+const SERVE_USAGE: &str =
+    "usage: critic serve [--port N] [--trace-len N] [--workers N] [--validate] \
+     [--deadline-ms N] [--queue N] [--watermarks A,B,C] [--rate N] [--burst N] [--window N] \
+     [--breaker K] [--journal FILE] [--segment-lines N] [--store-dir DIR] [--store-budget BYTES] \
+     [--stream-window N] [--run-tag N] [--shard N] [--peers A,B,..] [--stats] \
+     [--sys NAME[:PARAM]@AT]...";
+
+const ROUTER_USAGE: &str = "usage: critic router --journal-dir DIR --store-dir DIR [--port N] \
+     [--shards N] [--vnodes N] [--heartbeat-ms N] [--backoff-ms N] [--backoff-cap-ms N] \
+     [serve options forwarded to every shard]";
+
+/// The usage text `critic COMMAND --help` prints instead of doing any work
+/// (binding a port, spawning shards, running the bench).
+fn command_usage(command: &str) -> Option<&'static str> {
+    match command {
+        "bench" => Some(BENCH_USAGE),
+        "serve" => Some(SERVE_USAGE),
+        "router" => Some(ROUTER_USAGE),
+        _ => None,
+    }
+}
+
 /// Installs the `SIGTERM` handler behind `critic serve`'s graceful drain:
 /// the handler only flips [`critic_bench::serve::TERM`], which the accept
 /// loop polls — all the drain work happens on ordinary threads.
@@ -395,6 +422,12 @@ fn run_cli(args: &[String]) -> Result<(), CliError> {
     let Some(command) = args.first() else {
         return Err(usage());
     };
+    if let Some(text) = command_usage(command) {
+        if args[1..].iter().any(|a| a == "--help") {
+            println!("{text}");
+            return Ok(());
+        }
+    }
     match command.as_str() {
         "list" => {
             for suite in Suite::ALL {
@@ -1109,10 +1142,7 @@ fn run_router_command(args: &[String]) -> Result<(), CliError> {
         }
     };
     let Some(journal_dir) = arg_after(args, "--journal-dir") else {
-        return Err(CliError::Usage(
-            "usage: critic router --journal-dir DIR --store-dir DIR [--shards N] [options]"
-                .to_string(),
-        ));
+        return Err(CliError::Usage(ROUTER_USAGE.to_string()));
     };
     let Some(store_dir) = arg_after(args, "--store-dir") else {
         return Err(CliError::Usage(

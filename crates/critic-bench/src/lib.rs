@@ -4,7 +4,8 @@
 //! chaos harness behind `critic chaos` (see [`chaos`]), and the service
 //! stack behind `critic serve` / `loadgen` / `soak` (see [`serve`],
 //! [`loadgen`], [`soak`]) plus the sharded front tier behind
-//! `critic router` (see [`router`]).
+//! `critic router` (see [`router`]), all framed and accepted by one wire
+//! layer (see [`wire`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,6 +17,7 @@ pub mod perf;
 pub mod router;
 pub mod serve;
 pub mod soak;
+pub mod wire;
 
 /// Trace length used by Criterion benches (small enough for statistics).
 pub const BENCH_TRACE_LEN: usize = 60_000;

@@ -23,6 +23,7 @@ use serde::Serialize;
 
 use crate::perf::BenchError;
 use crate::serve::{parse_reply, Reply, SubmitBody, SubmitRequest};
+use crate::wire;
 
 /// One load-generation run's parameters.
 #[derive(Debug, Clone)]
@@ -214,22 +215,6 @@ fn percentile_ms(sorted_micros: &[u64], fraction: f64) -> f64 {
     sorted_micros[index] as f64 / 1e3
 }
 
-/// Writes one submission line; false when the stream is gone.
-fn send_submit(writer: &mut TcpStream, body: &SubmitBody) -> bool {
-    let request = SubmitRequest {
-        submit: body.clone(),
-    };
-    let Ok(json) = serde_json::to_string(&request) else {
-        return false;
-    };
-    use std::io::Write;
-    writer
-        .write_all(json.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
-        .is_ok()
-}
-
 /// Re-sends every retry whose delay has elapsed. Returns false when the
 /// stream died mid-send (the writer stops sending then).
 fn flush_due_retries(
@@ -262,7 +247,7 @@ fn flush_due_retries(
                     retries_left: item.retries_left,
                 },
             );
-        if send_submit(writer, &item.body) {
+        if wire::write_line(writer, &SubmitRequest { submit: item.body }).is_ok() {
             outcome.requests += 1;
             if item.hinted {
                 outcome.hinted_retries += 1;
@@ -291,7 +276,7 @@ fn run_client(config: &LoadgenConfig, client_index: usize, epoch: Instant) -> Cl
     // short retry loop absorbs that without hiding a dead server.
     let mut stream = None;
     for _ in 0..50 {
-        match TcpStream::connect(addr) {
+        match wire::connect(addr) {
             Ok(s) => {
                 stream = Some(s);
                 break;
@@ -428,7 +413,7 @@ fn run_client(config: &LoadgenConfig, client_index: usize, epoch: Instant) -> Cl
                     retries_left: config.retries,
                 },
             );
-        if !send_submit(&mut writer, &body) {
+        if wire::write_line(&mut writer, &SubmitRequest { submit: body }).is_err() {
             // Server gone (soak SIGKILL): stop sending; whatever is
             // pending becomes unanswered.
             state

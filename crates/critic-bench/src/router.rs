@@ -32,7 +32,7 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,6 +47,7 @@ use crate::serve::{
     parse_reply, AcceptedReply, DoneBody, DoneReply, IdBody, PingRequest, PongReply, RejectedBody,
     RejectedReply, Reply, ShutdownRequest, StatsRequest, SubmitBody, SubmitRequest,
 };
+use crate::wire;
 
 /// `{"router_stats":true}` — ask the router for shard status and routing
 /// counters. Distinct from `{"stats":true}` (which a router also answers,
@@ -151,6 +152,8 @@ impl RouterConfig {
 pub struct RouterSummary {
     /// Client connections accepted.
     pub connections: u64,
+    /// Failed `accept` calls the loop backed off from and survived.
+    pub accept_errors: u64,
     /// Final routing counters.
     pub stats: RouterStats,
 }
@@ -158,7 +161,7 @@ pub struct RouterSummary {
 /// One submission the router has forwarded and not yet answered.
 struct RouteEntry {
     /// The client connection to answer on.
-    client: Arc<Mutex<TcpStream>>,
+    client: wire::SharedWriter,
     /// The client's own correlation id.
     orig_id: u64,
     /// The submission body (kept for redispatch after a shard death).
@@ -174,7 +177,7 @@ struct ShardState {
     pid: Option<u32>,
     generation: u64,
     /// The router's multiplexed connection to the shard, when up.
-    conn: Option<Arc<Mutex<TcpStream>>>,
+    conn: Option<wire::SharedWriter>,
     child: Option<Child>,
     /// Earliest next restart attempt, when down.
     next_attempt: Instant,
@@ -196,20 +199,6 @@ struct Fabric {
     redispatched: AtomicU64,
     rejected_no_shard: AtomicU64,
     restarts: AtomicU64,
-}
-
-/// Serialises `reply` as one line under the stream lock, swallowing write
-/// errors (a hung-up peer is the peer's problem).
-fn write_line<T: Serialize>(stream: &Arc<Mutex<TcpStream>>, reply: &T) -> bool {
-    let Ok(json) = serde_json::to_string(reply) else {
-        return false;
-    };
-    let mut guard = stream
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    guard.write_all(json.as_bytes()).is_ok()
-        && guard.write_all(b"\n").is_ok()
-        && guard.flush().is_ok()
 }
 
 impl Fabric {
@@ -259,7 +248,7 @@ impl Fabric {
     }
 
     /// The live connection to `shard`, or `None` while it is down.
-    fn conn(&self, shard: u32) -> Option<Arc<Mutex<TcpStream>>> {
+    fn conn(&self, shard: u32) -> Option<wire::SharedWriter> {
         let state = self.slot(shard);
         if state.up {
             state.conn.clone()
@@ -393,7 +382,7 @@ fn spawn_shard(fabric: &Arc<Fabric>, shard: u32) -> std::io::Result<()> {
         }
     });
 
-    let stream = TcpStream::connect(&addr)?;
+    let stream = wire::connect(&addr)?;
     let read_half = stream.try_clone()?;
     let conn = Arc::new(Mutex::new(stream));
     {
@@ -449,7 +438,7 @@ fn shard_reader(fabric: &Arc<Fabric>, shard: u32, generation: u64, stream: TcpSt
                         .map(|entry| (Arc::clone(&entry.client), entry.orig_id))
                 };
                 if let Some((client, orig_id)) = target {
-                    write_line(
+                    wire::send(
                         &client,
                         &AcceptedReply {
                             accepted: IdBody { id: orig_id },
@@ -460,7 +449,7 @@ fn shard_reader(fabric: &Arc<Fabric>, shard: u32, generation: u64, stream: TcpSt
             Reply::Rejected(body) => {
                 let entry = fabric.routes().remove(&body.id);
                 if let Some(entry) = entry {
-                    write_line(
+                    wire::send(
                         &entry.client,
                         &RejectedReply {
                             rejected: RejectedBody {
@@ -475,7 +464,7 @@ fn shard_reader(fabric: &Arc<Fabric>, shard: u32, generation: u64, stream: TcpSt
             Reply::Done(done) => {
                 let entry = fabric.routes().remove(&done.id);
                 if let Some(entry) = entry {
-                    write_line(
+                    wire::send(
                         &entry.client,
                         &DoneReply {
                             done: DoneBody {
@@ -547,7 +536,7 @@ fn redispatch_orphans(fabric: &Arc<Fabric>, shard: u32) {
                     },
                 };
                 fabric.routes().insert(gid, entry);
-                if write_line(&conn, &request) {
+                if wire::send(&conn, &request) {
                     fabric.redispatched.fetch_add(1, Ordering::Relaxed);
                 }
                 // On a failed write the successor is dying too; the route
@@ -556,7 +545,7 @@ fn redispatch_orphans(fabric: &Arc<Fabric>, shard: u32) {
             }
             None => {
                 fabric.rejected_no_shard.fetch_add(1, Ordering::Relaxed);
-                write_line(
+                wire::send(
                     &entry.client,
                     &RejectedReply {
                         rejected: RejectedBody {
@@ -572,9 +561,9 @@ fn redispatch_orphans(fabric: &Arc<Fabric>, shard: u32) {
 }
 
 /// Places one client submission: first live shard in successor order.
-fn forward_submit(fabric: &Arc<Fabric>, client: &Arc<Mutex<TcpStream>>, body: SubmitBody) {
+fn forward_submit(fabric: &Arc<Fabric>, client: &wire::SharedWriter, body: SubmitBody) {
     if fabric.draining.load(Ordering::SeqCst) {
-        write_line(
+        wire::send(
             client,
             &RejectedReply {
                 rejected: RejectedBody {
@@ -607,7 +596,7 @@ fn forward_submit(fabric: &Arc<Fabric>, client: &Arc<Mutex<TcpStream>>, body: Su
                 ..body.clone()
             },
         };
-        if write_line(&conn, &request) {
+        if wire::send(&conn, &request) {
             fabric.forwarded.fetch_add(1, Ordering::Relaxed);
             if owner != Some(shard) {
                 fabric.rerouted.fetch_add(1, Ordering::Relaxed);
@@ -619,7 +608,7 @@ fn forward_submit(fabric: &Arc<Fabric>, client: &Arc<Mutex<TcpStream>>, body: Su
         fabric.routes().remove(&gid);
     }
     fabric.rejected_no_shard.fetch_add(1, Ordering::Relaxed);
-    write_line(
+    wire::send(
         client,
         &RejectedReply {
             rejected: RejectedBody {
@@ -633,47 +622,32 @@ fn forward_submit(fabric: &Arc<Fabric>, client: &Arc<Mutex<TcpStream>>, body: Su
 
 /// One client connection's request loop on the router.
 fn handle_router_client(fabric: &Arc<Fabric>, stream: TcpStream, shutdown: &Arc<AtomicBool>) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let writer = Arc::new(Mutex::new(write_half));
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        let text = line.trim();
-        if text.is_empty() {
-            continue;
-        }
+    wire::read_lines(stream, |writer, text| {
         if let Ok(request) = serde_json::from_str::<SubmitRequest>(text) {
-            forward_submit(fabric, &writer, request.submit);
+            forward_submit(fabric, writer, request.submit);
         } else if serde_json::from_str::<RouterStatsRequest>(text).is_ok()
             || serde_json::from_str::<StatsRequest>(text).is_ok()
         {
-            write_line(
-                &writer,
+            wire::send(
+                writer,
                 &RouterStatsReply {
                     router_stats_reply: fabric.stats(),
                 },
             );
         } else if serde_json::from_str::<PingRequest>(text).is_ok() {
-            write_line(&writer, &PongReply { pong: true });
+            wire::send(writer, &PongReply { pong: true });
         } else if serde_json::from_str::<ShutdownRequest>(text).is_ok() {
             shutdown.store(true, Ordering::SeqCst);
-            write_line(&writer, &crate::serve::DrainingReply { draining: true });
+            wire::send(writer, &crate::serve::DrainingReply { draining: true });
         } else {
-            write_line(
-                &writer,
+            wire::send(
+                writer,
                 &crate::serve::ErrorReply {
                     error: format!("unparseable request: {text}"),
                 },
             );
         }
-    }
+    });
 }
 
 /// The supervisor tick: heartbeat live shards, reap exited children,
@@ -704,7 +678,7 @@ fn supervise(fabric: &Arc<Fabric>) {
                 if exited || stale {
                     mark_down(fabric, shard, generation);
                 } else if let Some(conn) = conn {
-                    if !write_line(&conn, &crate::serve::HeartbeatRequest { heartbeat: true }) {
+                    if !wire::send(&conn, &crate::serve::HeartbeatRequest { heartbeat: true }) {
                         mark_down(fabric, shard, generation);
                     }
                 }
@@ -761,32 +735,14 @@ pub fn run_router(config: RouterConfig) -> std::io::Result<RouterSummary> {
     };
 
     let shutdown = Arc::new(AtomicBool::new(false));
-    let _ = listener.set_nonblocking(true);
-    let mut handles = Vec::new();
-    let mut raw_streams: Vec<TcpStream> = Vec::new();
-    let mut connections = 0u64;
-    loop {
-        if crate::serve::TERM.load(Ordering::SeqCst) || shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                connections += 1;
-                if let Ok(raw) = stream.try_clone() {
-                    raw_streams.push(raw);
-                }
-                let fabric = Arc::clone(&fabric);
-                let shutdown = Arc::clone(&shutdown);
-                handles.push(thread::spawn(move || {
-                    handle_router_client(&fabric, stream, &shutdown);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
+    let connections = wire::accept_loop(
+        &listener,
+        || crate::serve::TERM.load(Ordering::SeqCst) || shutdown.load(Ordering::SeqCst),
+        {
+            let (fabric, shutdown) = (Arc::clone(&fabric), Arc::clone(&shutdown));
+            move |stream, _client| handle_router_client(&fabric, stream, &shutdown)
+        },
+    );
 
     // Drain: stop supervision, ask every live shard to drain, wait for
     // the in-flight routes to flush (shards finish queued cells before
@@ -795,7 +751,7 @@ pub fn run_router(config: RouterConfig) -> std::io::Result<RouterSummary> {
     let _ = supervisor.join();
     for shard in 0..fabric.config.shards {
         if let Some(conn) = fabric.conn(shard) {
-            write_line(&conn, &ShutdownRequest { shutdown: true });
+            wire::send(&conn, &ShutdownRequest { shutdown: true });
         }
     }
     let flush_deadline = Instant::now() + Duration::from_secs(60);
@@ -823,48 +779,38 @@ pub fn run_router(config: RouterConfig) -> std::io::Result<RouterSummary> {
         state.up = false;
         state.conn = None;
     }
-    for stream in &raw_streams {
-        let _ = stream.shutdown(Shutdown::Both);
-    }
-    for handle in handles {
-        let _ = handle.join();
-    }
-    let stats = fabric.stats();
+    let summary = RouterSummary {
+        connections: connections.accepted,
+        accept_errors: connections.accept_errors,
+        stats: fabric.stats(),
+    };
+    connections.close();
     eprintln!(
-        "critic router: drained after {connections} connection(s), {} forwarded, {} redispatched, {} restarts",
-        stats.forwarded, stats.redispatched, stats.restarts
+        "critic router: drained after {} connection(s) ({} accept error(s)), {} forwarded, {} redispatched, {} restarts",
+        summary.connections,
+        summary.accept_errors,
+        summary.stats.forwarded,
+        summary.stats.redispatched,
+        summary.stats.restarts
     );
-    Ok(RouterSummary { connections, stats })
+    Ok(summary)
 }
 
 /// Blocking client-side helper: fetch [`RouterStats`] over `addr`.
 ///
 /// # Errors
 ///
-/// Propagates connect/IO errors; an unexpected reply is `InvalidData`.
+/// Propagates connect/IO errors; EOF before a stats reply is
+/// `UnexpectedEof`.
 pub fn fetch_router_stats(addr: &str) -> std::io::Result<RouterStats> {
-    let stream = TcpStream::connect(addr)?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let request = serde_json::to_string(&RouterStatsRequest { router_stats: true })
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    writer.write_all(request.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "router hung up before replying",
-            ));
-        }
-        if let Ok(reply) = serde_json::from_str::<RouterStatsReply>(line.trim()) {
-            return Ok(reply.router_stats_reply);
-        }
-    }
+    wire::Client::connect(addr, Some(Duration::from_secs(10)))?.request_reply(
+        &RouterStatsRequest { router_stats: true },
+        |line| {
+            serde_json::from_str::<RouterStatsReply>(line)
+                .ok()
+                .map(|reply| reply.router_stats_reply)
+        },
+    )
 }
 
 #[cfg(test)]

@@ -44,11 +44,10 @@
 //! been fsynced ([`CampaignService`]'s ack-follows-fsync invariant), so
 //! every `done` a client observed survives a `SIGKILL` of the server.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::Arc;
 use std::time::Duration;
 
 use critic_core::campaign::CellRecord;
@@ -57,6 +56,8 @@ use critic_core::keys::crc32;
 use critic_core::service::{CampaignService, SubmitOutcome};
 use critic_core::store::ArtifactStore;
 use serde::{Deserialize, Serialize};
+
+use crate::wire;
 
 /// Set by the binary's `SIGTERM` handler; the accept loop polls it and
 /// begins a graceful drain when it goes true.
@@ -304,25 +305,12 @@ pub struct ErrorReply {
 pub struct ServeSummary {
     /// Connections accepted over the session.
     pub connections: u64,
+    /// Failed `accept` calls the loop backed off from and survived.
+    pub accept_errors: u64,
     /// Requests accepted (admitted or synchronously shed).
     pub accepted: u64,
     /// Terminal responses delivered.
     pub responded: u64,
-}
-
-/// Serialises `reply` and writes it as one line under the stream lock.
-/// Write errors are swallowed: a client that hung up mid-reply is that
-/// client's problem, never the server's.
-fn write_line<T: Serialize>(stream: &Arc<Mutex<TcpStream>>, reply: &T) {
-    let Ok(json) = serde_json::to_string(reply) else {
-        return;
-    };
-    let mut guard = stream
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let _ = guard.write_all(json.as_bytes());
-    let _ = guard.write_all(b"\n");
-    let _ = guard.flush();
 }
 
 /// What distinguishes one shard's serve loop from a standalone server:
@@ -396,37 +384,22 @@ fn fetch_artifact_body(service: &CampaignService, want: &ArtifactRef) -> Artifac
 /// server cuts the stream after draining.
 fn handle_client(
     stream: TcpStream,
-    service: CampaignService,
+    service: &CampaignService,
     client: u64,
-    shutdown: Arc<AtomicBool>,
-    ctx: ShardContext,
+    shutdown: &AtomicBool,
+    ctx: &ShardContext,
 ) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let writer = Arc::new(Mutex::new(write_half));
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        let text = line.trim();
-        if text.is_empty() {
-            continue;
-        }
+    wire::read_lines(stream, |writer, text| {
         if let Ok(request) = serde_json::from_str::<SubmitRequest>(text) {
             let id = request.submit.id;
-            let done_writer = Arc::clone(&writer);
+            let done_writer = Arc::clone(writer);
             let outcome = service.submit(
                 client,
                 &request.submit.app,
                 &request.submit.scheme,
                 request.submit.deadline_ms,
                 move |record| {
-                    write_line(
+                    wire::send(
                         &done_writer,
                         &DoneReply {
                             done: DoneBody { id, record },
@@ -434,9 +407,9 @@ fn handle_client(
                     );
                 },
             );
-            match outcome {
-                SubmitOutcome::Accepted => write_line(
-                    &writer,
+            let _ = match outcome {
+                SubmitOutcome::Accepted => wire::send(
+                    writer,
                     &AcceptedReply {
                         accepted: IdBody { id },
                     },
@@ -444,8 +417,8 @@ fn handle_client(
                 SubmitOutcome::Rejected {
                     reason,
                     retry_after_ms,
-                } => write_line(
-                    &writer,
+                } => wire::send(
+                    writer,
                     &RejectedReply {
                         rejected: RejectedBody {
                             id,
@@ -454,19 +427,19 @@ fn handle_client(
                         },
                     },
                 ),
-            }
+            };
         } else if serde_json::from_str::<StatsRequest>(text).is_ok() {
-            write_line(
-                &writer,
+            wire::send(
+                writer,
                 &StatsReply {
-                    stats_reply: serve_stats(&service, &ctx),
+                    stats_reply: serve_stats(service, ctx),
                 },
             );
         } else if serde_json::from_str::<PingRequest>(text).is_ok() {
-            write_line(&writer, &PongReply { pong: true });
+            wire::send(writer, &PongReply { pong: true });
         } else if serde_json::from_str::<HeartbeatRequest>(text).is_ok() {
-            write_line(
-                &writer,
+            wire::send(
+                writer,
                 &HeartbeatReply {
                     heartbeat_reply: HeartbeatBody {
                         shard: ctx.shard,
@@ -475,10 +448,10 @@ fn handle_client(
                 },
             );
         } else if let Ok(request) = serde_json::from_str::<FetchArtifactRequest>(text) {
-            write_line(
-                &writer,
+            wire::send(
+                writer,
                 &ArtifactReply {
-                    artifact: fetch_artifact_body(&service, &request.fetch_artifact),
+                    artifact: fetch_artifact_body(service, &request.fetch_artifact),
                 },
             );
         } else if serde_json::from_str::<ListArtifactsRequest>(text).is_ok() {
@@ -495,19 +468,19 @@ fn handle_client(
                         .collect()
                 })
                 .unwrap_or_default();
-            write_line(&writer, &ArtifactIndexReply { artifact_index });
+            wire::send(writer, &ArtifactIndexReply { artifact_index });
         } else if serde_json::from_str::<ShutdownRequest>(text).is_ok() {
             shutdown.store(true, Ordering::SeqCst);
-            write_line(&writer, &DrainingReply { draining: true });
+            wire::send(writer, &DrainingReply { draining: true });
         } else {
-            write_line(
-                &writer,
+            wire::send(
+                writer,
                 &ErrorReply {
                     error: format!("unparseable request: {text}"),
                 },
             );
         }
-    }
+    });
 }
 
 /// Runs the accept loop over an already-bound listener until `shutdown`,
@@ -523,49 +496,26 @@ pub fn serve_on(
     shutdown: &Arc<AtomicBool>,
     ctx: &ShardContext,
 ) -> ServeSummary {
-    let _ = listener.set_nonblocking(true);
-    let mut handles = Vec::new();
-    let mut raw_streams: Vec<TcpStream> = Vec::new();
-    let mut connections = 0u64;
-    loop {
-        if TERM.load(Ordering::SeqCst) || shutdown.load(Ordering::SeqCst) || service.is_draining() {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                connections += 1;
-                let client = connections;
-                if let Ok(raw) = stream.try_clone() {
-                    raw_streams.push(raw);
-                }
-                let service = service.clone();
-                let shutdown = Arc::clone(shutdown);
-                let ctx = ctx.clone();
-                handles.push(thread::spawn(move || {
-                    handle_client(stream, service, client, shutdown, ctx);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
+    let connections = wire::accept_loop(
+        &listener,
+        || TERM.load(Ordering::SeqCst) || shutdown.load(Ordering::SeqCst) || service.is_draining(),
+        {
+            let (service, shutdown, ctx) = (service.clone(), Arc::clone(shutdown), ctx.clone());
+            move |stream, client| handle_client(stream, &service, client, &shutdown, &ctx)
+        },
+    );
     // Finish every queued and in-flight cell (their `done` lines are
     // written by the drain), then cut the streams so client read loops
     // observe EOF instead of hanging.
     service.drain();
-    for stream in &raw_streams {
-        let _ = stream.shutdown(Shutdown::Both);
-    }
-    for handle in handles {
-        let _ = handle.join();
-    }
-    ServeSummary {
-        connections,
+    let summary = ServeSummary {
+        connections: connections.accepted,
+        accept_errors: connections.accept_errors,
         accepted: service.accepted(),
         responded: service.responded(),
-    }
+    };
+    connections.close();
+    summary
 }
 
 /// Binds `127.0.0.1:port` (0 = ephemeral), prints
@@ -588,8 +538,8 @@ pub fn run_serve(
     let shutdown = Arc::new(AtomicBool::new(false));
     let summary = serve_on(listener, service, &shutdown, ctx);
     eprintln!(
-        "critic serve: drained after {} connection(s), {} accepted, {} responded",
-        summary.connections, summary.accepted, summary.responded
+        "critic serve: drained after {} connection(s) ({} accept error(s)), {} accepted, {} responded",
+        summary.connections, summary.accept_errors, summary.accepted, summary.responded
     );
     Ok(summary)
 }
@@ -626,25 +576,19 @@ pub fn rebuild_from_peers(
         return report;
     };
     for peer in peers {
-        let Ok(stream) = TcpStream::connect(peer.as_str()) else {
+        let Ok(mut peer) = wire::Client::connect(peer, Some(Duration::from_secs(30))) else {
             continue;
         };
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-        let Ok(mut writer) = stream.try_clone() else {
-            continue;
-        };
-        let mut reader = BufReader::new(stream);
-        let index = match request_reply(
-            &mut writer,
-            &mut reader,
+        let Ok(index) = peer.request_reply(
             &ListArtifactsRequest {
                 list_artifacts: true,
             },
-            |reply| matches!(reply, Reply::ArtifactIndex(_)),
-            |_| {},
-        ) {
-            Ok(Reply::ArtifactIndex(index)) => index,
-            _ => continue,
+            |line| match parse_reply(line) {
+                Some(Reply::ArtifactIndex(index)) => Some(index),
+                _ => None,
+            },
+        ) else {
+            continue;
         };
         report.peers_consulted += 1;
         for wanted in index {
@@ -654,18 +598,15 @@ pub fn rebuild_from_peers(
             if disk.contains(class, wanted.key) {
                 continue;
             }
-            let body = match request_reply(
-                &mut writer,
-                &mut reader,
-                &FetchArtifactRequest {
-                    fetch_artifact: wanted.clone(),
-                },
-                |reply| matches!(reply, Reply::Artifact(_)),
-                |_| {},
-            ) {
-                Ok(Reply::Artifact(body)) => body,
+            let request = FetchArtifactRequest {
+                fetch_artifact: wanted.clone(),
+            };
+            let Ok(body) = peer.request_reply(&request, |line| match parse_reply(line) {
+                Some(Reply::Artifact(body)) => Some(body),
+                _ => None,
+            }) else {
                 // Peer hung up mid-transfer: move on to the next peer.
-                _ => break,
+                break;
             };
             if !body.found {
                 continue;
@@ -751,44 +692,6 @@ pub fn parse_reply(line: &str) -> Option<Reply> {
         return Some(Reply::Error(reply.error));
     }
     None
-}
-
-/// Blocking helper for request/reply exchanges on a client stream: writes
-/// one request line and reads lines until `want` picks a reply (skipping
-/// interleaved `done` lines, which the caller sees via `on_other`).
-///
-/// # Errors
-///
-/// Propagates stream I/O errors; EOF before a matching reply is
-/// `UnexpectedEof`.
-pub fn request_reply<R: Read, T: Serialize>(
-    writer: &mut TcpStream,
-    reader: &mut BufReader<R>,
-    request: &T,
-    mut want: impl FnMut(&Reply) -> bool,
-    mut on_other: impl FnMut(Reply),
-) -> std::io::Result<Reply> {
-    let json = serde_json::to_string(request)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    writer.write_all(json.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server hung up before replying",
-            ));
-        }
-        if let Some(reply) = parse_reply(&line) {
-            if want(&reply) {
-                return Ok(reply);
-            }
-            on_other(reply);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -24,7 +24,6 @@
 
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,7 +37,8 @@ use serde::Serialize;
 
 use crate::loadgen::{run_loadgen, AckedCell, LoadgenConfig, LoadgenReport};
 use crate::perf::BenchError;
-use crate::serve::{request_reply, Reply, ServeStats, StatsRequest};
+use crate::serve::{parse_reply, Reply, ServeStats, StatsRequest};
+use crate::wire;
 
 /// One soak invocation's parameters.
 #[derive(Debug, Clone)]
@@ -241,68 +241,44 @@ fn spawn_queue_monitor(
     peak: Arc<AtomicU64>,
 ) -> thread::JoinHandle<()> {
     thread::spawn(move || {
-        let Ok(mut stream) = TcpStream::connect(&addr) else {
+        let Ok(mut client) = wire::Client::connect(&addr, None) else {
             return;
         };
-        let Ok(read_half) = stream.try_clone() else {
-            return;
-        };
-        let mut reader = BufReader::new(read_half);
         while !stop.load(Ordering::SeqCst) {
-            let reply = request_reply(
-                &mut stream,
-                &mut reader,
-                &StatsRequest { stats: true },
-                |r| matches!(r, Reply::Stats(_)),
-                |_| {},
-            );
-            match reply {
-                Ok(Reply::Stats(stats)) => {
-                    peak.fetch_max(stats.queue_depth, Ordering::SeqCst);
-                }
-                _ => return,
-            }
+            let Ok(stats) = client.request_reply(&StatsRequest { stats: true }, pick_stats) else {
+                return;
+            };
+            peak.fetch_max(stats.queue_depth, Ordering::SeqCst);
             thread::sleep(Duration::from_millis(10));
         }
     })
 }
 
+/// Picks a `stats_reply` line.
+fn pick_stats(line: &str) -> Option<ServeStats> {
+    match parse_reply(line) {
+        Some(Reply::Stats(stats)) => Some(stats),
+        _ => None,
+    }
+}
+
 /// One stats exchange on a fresh connection.
 fn fetch_stats(addr: &str) -> Result<ServeStats, BenchError> {
-    let mut stream = TcpStream::connect(addr)
+    let mut client = wire::Client::connect(addr, None)
         .map_err(|e| BenchError::Io(format!("cannot connect for stats: {e}")))?;
-    let read_half = stream
-        .try_clone()
-        .map_err(|e| BenchError::Io(e.to_string()))?;
-    let mut reader = BufReader::new(read_half);
-    match request_reply(
-        &mut stream,
-        &mut reader,
-        &StatsRequest { stats: true },
-        |r| matches!(r, Reply::Stats(_)),
-        |_| {},
-    ) {
-        Ok(Reply::Stats(stats)) => Ok(stats),
-        Ok(_) | Err(_) => Err(BenchError::Io("stats exchange failed".to_string())),
-    }
+    client
+        .request_reply(&StatsRequest { stats: true }, pick_stats)
+        .map_err(|_| BenchError::Io("stats exchange failed".to_string()))
 }
 
 /// Asks the server to drain via the wire protocol.
 fn send_shutdown(addr: &str) {
-    let Ok(mut stream) = TcpStream::connect(addr) else {
+    let Ok(mut client) = wire::Client::connect(addr, None) else {
         return;
     };
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let _ = request_reply(
-        &mut stream,
-        &mut reader,
-        &crate::serve::ShutdownRequest { shutdown: true },
-        |r| matches!(r, Reply::Draining),
-        |_| {},
-    );
+    let _ = client.request_reply(&crate::serve::ShutdownRequest { shutdown: true }, |line| {
+        matches!(parse_reply(line), Some(Reply::Draining)).then_some(())
+    });
 }
 
 /// Checks no-lost-ack: every distinct (app, scheme) among `acked` must

@@ -112,3 +112,52 @@ fn supervised_campaign_under_faults_is_accounted_and_visible_in_stats() {
 
     let _ = std::fs::remove_file(&journal);
 }
+
+#[test]
+fn help_prints_usage_without_binding_spawning_or_benching() {
+    use std::io::Read;
+    use std::time::{Duration, Instant};
+
+    for command in ["serve", "router", "bench"] {
+        // Doing the work instead would block (serve, router) or run for
+        // many seconds (bench), so a child still alive after the deadline
+        // is killed and fails the test rather than hanging it.
+        let mut child = critic()
+            .args([command, "--help"])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("critic runs");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll critic") {
+                break Some(status);
+            }
+            if Instant::now() >= deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                break None;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stdout = String::new();
+        let _ = child
+            .stdout
+            .take()
+            .expect("piped stdout")
+            .read_to_string(&mut stdout);
+        assert_eq!(
+            status.and_then(|s| s.code()),
+            Some(0),
+            "`{command} --help` did not exit 0 promptly; printed {stdout:?}"
+        );
+        assert!(
+            stdout.starts_with(&format!("usage: critic {command}")),
+            "`{command} --help` printed {stdout:?}"
+        );
+        assert!(
+            !stdout.contains("listening on"),
+            "`{command} --help` bound a port"
+        );
+    }
+}

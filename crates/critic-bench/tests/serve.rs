@@ -124,6 +124,35 @@ fn wire_protocol_answers_ping_stats_and_rejects_after_shutdown() {
 }
 
 #[test]
+fn sequential_round_trips_do_not_wait_for_delayed_acks() {
+    // A reply line written as two segments with Nagle on holds its `\n`
+    // until this client's delayed ACK (~40 ms) arrives, so 50 round trips
+    // would take >= ~2 s. One write per line with TCP_NODELAY takes
+    // milliseconds.
+    let (_service, summary) = with_server(tiny_service(256), |addr| {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        let mut line = String::new();
+        let started = std::time::Instant::now();
+        for _ in 0..50 {
+            line.clear();
+            stream.write_all(b"{\"ping\":true}\n").expect("write ping");
+            reader.read_line(&mut line).expect("read pong");
+            assert!(
+                matches!(serve::parse_reply(&line), Some(Reply::Pong)),
+                "expected pong, got {line:?}"
+            );
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "50 ping round trips took {elapsed:?}: replies are stalling on delayed ACKs"
+        );
+    });
+    assert_eq!(summary.connections, 1);
+}
+
+#[test]
 fn overloaded_server_rejects_with_retry_hints_instead_of_queueing() {
     // One worker, a two-deep queue, and a burst far beyond both: the
     // server must shed the excess synchronously with retry hints, not
