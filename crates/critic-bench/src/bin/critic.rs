@@ -358,13 +358,45 @@ const ROUTER_USAGE: &str = "usage: critic router --journal-dir DIR --store-dir D
      [--shards N] [--vnodes N] [--heartbeat-ms N] [--backoff-ms N] [--backoff-cap-ms N] \
      [serve options forwarded to every shard]";
 
+const CAMPAIGN_USAGE: &str =
+    "usage: critic campaign [--suite S] [--apps N] [--schemes A,B,..] [--trace-len N] \
+     [--workers N] [--validate] [--stats] [--journal FILE] [--resume] [--segment-lines N] \
+     [--store-dir DIR] [--store-budget BYTES] [--stream-window N] [--run-tag N] \
+     [--inject APP:SCHEME:FAULT[:SEED]]... [--sys NAME[:PARAM]@AT]... [--retries N] \
+     [--backoff-base-ms N] [--backoff-cap-ms N] [--backoff-seed N] [--breaker K] \
+     [--deadline-secs N] [--degrade]";
+
+const STATS_USAGE: &str = "usage: critic stats --journal FILE|DIR [--json]";
+
+const CHAOS_USAGE: &str =
+    "usage: critic chaos [--seed S] [--cells N] [--smoke] [--minimize] [-o FILE]";
+
+const DRILL_USAGE: &str =
+    "usage: critic drill [--points N] [--seed S] [--smoke] [--minimize] [-o FILE]";
+
+const LOADGEN_USAGE: &str =
+    "usage: critic loadgen --addr HOST:PORT [--addr HOST:PORT]... [--clients N] \
+     [--requests N] [--rate X] [--retries N] [--seed N] [--deadline-ms N] [--json] [-o FILE]";
+
+const SOAK_USAGE: &str =
+    "usage: critic soak [--seconds N] [--clients N] [--rate X] [--seed N] [--no-kill] \
+     [--sys NAME[:PARAM]@AT]... [--smoke] [--json] [-o FILE]\n       \
+     critic soak --shards N [--seconds N] [--clients N] [--rate X] [--seed N] \
+     [--max-p99-ms X] [--smoke] [--json] [-o FILE]";
+
 /// The usage text `critic COMMAND --help` prints instead of doing any work
-/// (binding a port, spawning shards, running the bench).
+/// (binding a port, spawning shards, running a campaign, bench or drill).
 fn command_usage(command: &str) -> Option<&'static str> {
     match command {
         "bench" => Some(BENCH_USAGE),
         "serve" => Some(SERVE_USAGE),
         "router" => Some(ROUTER_USAGE),
+        "campaign" => Some(CAMPAIGN_USAGE),
+        "stats" => Some(STATS_USAGE),
+        "chaos" => Some(CHAOS_USAGE),
+        "drill" => Some(DRILL_USAGE),
+        "loadgen" => Some(LOADGEN_USAGE),
+        "soak" => Some(SOAK_USAGE),
         _ => None,
     }
 }
@@ -1242,12 +1274,7 @@ fn run_loadgen_command(args: &[String]) -> Result<(), CliError> {
         addrs
     };
     if addrs.is_empty() {
-        return Err(CliError::Usage(
-            "usage: critic loadgen --addr HOST:PORT [--addr HOST:PORT]... [--clients N] \
-             [--requests N] [--rate X] [--retries N] [--seed N] [--deadline-ms N] [--json] \
-             [-o FILE]"
-                .to_string(),
-        ));
+        return Err(CliError::Usage(LOADGEN_USAGE.to_string()));
     }
     let parse_num = |flag: &str| -> Result<Option<u64>, CliError> {
         match arg_after(args, flag) {

@@ -17,13 +17,18 @@
 //! which writes the whole line under the stream's `Mutex`, so lines never
 //! interleave.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use serde::Serialize;
+
+/// The longest request line a server reads, newline included. Requests
+/// are small JSON objects; the cap bounds what one connection can make
+/// the server buffer.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// How long the accept loop sleeps when no connection is pending.
 const IDLE_POLL: Duration = Duration::from_millis(5);
@@ -73,20 +78,39 @@ pub type SharedWriter = Arc<Mutex<TcpStream>>;
 /// The server side of one connection: reads request lines until the peer
 /// hangs up or the stream is cut, calling `on_line(writer, text)` for each
 /// non-empty line with surrounding whitespace trimmed.
+///
+/// A line longer than 1 MiB (`MAX_LINE_BYTES`, newline included) is answered
+/// with one `{"error":"..."}` line and the connection is closed, so a
+/// client that never sends `\n` cannot grow the server's memory.
 pub fn read_lines(stream: TcpStream, mut on_line: impl FnMut(&SharedWriter, &str)) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let writer = Arc::new(Mutex::new(write_half));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match (&mut reader)
+            .take(MAX_LINE_BYTES as u64)
+            .read_until(b'\n', &mut line)
+        {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
-        let text = line.trim();
+        if line.len() == MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+            let error = format!("request line longer than {MAX_LINE_BYTES} bytes");
+            send(&writer, &crate::serve::ErrorReply { error });
+            let _ = writer
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .shutdown(Shutdown::Both);
+            return;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            return;
+        };
+        let text = text.trim();
         if !text.is_empty() {
             on_line(&writer, text);
         }

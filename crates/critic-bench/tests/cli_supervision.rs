@@ -118,10 +118,13 @@ fn help_prints_usage_without_binding_spawning_or_benching() {
     use std::io::Read;
     use std::time::{Duration, Instant};
 
-    for command in ["serve", "router", "bench"] {
-        // Doing the work instead would block (serve, router) or run for
-        // many seconds (bench), so a child still alive after the deadline
-        // is killed and fails the test rather than hanging it.
+    for command in [
+        "serve", "router", "bench", "campaign", "soak", "drill", "chaos", "loadgen", "stats",
+    ] {
+        // Doing the work instead would block (serve, router), run for many
+        // seconds (bench, campaign, soak, drill, chaos) or fail on missing
+        // arguments (loadgen, stats), so a child still alive after the
+        // deadline is killed and fails the test rather than hanging it.
         let mut child = critic()
             .args([command, "--help"])
             .stdout(std::process::Stdio::piped())

@@ -124,6 +124,47 @@ fn wire_protocol_answers_ping_stats_and_rejects_after_shutdown() {
 }
 
 #[test]
+fn overlong_request_line_is_answered_with_an_error_and_closed() {
+    let (_service, summary) = with_server(tiny_service(256), |addr| {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let read_half = stream.try_clone().expect("clone stream");
+        read_half
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("read timeout");
+        // 2 MiB with no newline. The server stops reading at its cap, so
+        // the write runs on its own thread and may fail once it closes.
+        let flood = std::thread::spawn(move || {
+            let _ = stream.write_all(&vec![b'x'; 2 << 20]);
+        });
+        let mut reader = BufReader::new(read_half);
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read error line");
+        assert!(
+            matches!(serve::parse_reply(&line), Some(Reply::Error(_))),
+            "expected error reply, got {line:?}"
+        );
+        line.clear();
+        assert_eq!(
+            reader.read_line(&mut line).unwrap_or(0),
+            0,
+            "the connection must close after the error, got {line:?}"
+        );
+        flood.join().expect("flood thread");
+
+        let mut fresh = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(fresh.try_clone().expect("clone stream"));
+        fresh.write_all(b"{\"ping\":true}\n").expect("write ping");
+        line.clear();
+        reader.read_line(&mut line).expect("read pong");
+        assert!(
+            matches!(serve::parse_reply(&line), Some(Reply::Pong)),
+            "expected pong, got {line:?}"
+        );
+    });
+    assert_eq!(summary.connections, 2);
+}
+
+#[test]
 fn sequential_round_trips_do_not_wait_for_delayed_acks() {
     // A reply line written as two segments with Nagle on holds its `\n`
     // until this client's delayed ACK (~40 ms) arrives, so 50 round trips

@@ -1,4 +1,5 @@
-//! The trace-driven cycle loop.
+//! The trace-driven cycle loop: the one implementation behind every
+//! data-oriented entry point.
 //!
 //! Stage order within a cycle is commit → issue → dispatch → fetch, each
 //! stage reading the state its predecessors left. The fetch stage follows
@@ -12,6 +13,14 @@
 //! in the returned [`SimResult`] is *derived* from that partition, so the
 //! stall counters cannot drift from (or double-count against) total
 //! cycles. See [`critic_obs::ledger`] for the attribution order.
+//!
+//! # One loop, two feeds
+//!
+//! Each stage is one method over the per-run pipeline state (`Core`), and
+//! `Core::cycle` runs them in order. A materialized run
+//! ([`Simulator::run_decoded`], which the [`Trace`] entry points decode
+//! into) and a streamed run ([`Simulator::run_streamed`]) drive this same
+//! loop; what differs between them is confined to the `Window` seam.
 //!
 //! # Data-oriented core
 //!
@@ -48,13 +57,13 @@ use crate::stats::{FetchStalls, SimResult, StageBreakdown};
 
 /// Why the fetch stage is currently unable to supply instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SupplyStall {
+enum SupplyStall {
     None,
     ICacheMiss,
     Branch,
 }
 
-pub(crate) const UNSET: u64 = u64::MAX;
+const UNSET: u64 = u64::MAX;
 
 /// Which simulation engine a harness routes its runs through. Both engines
 /// produce bit-identical [`SimResult`]s and [`CycleLedger`]s (asserted by
@@ -72,28 +81,28 @@ pub enum SimEngine {
 }
 
 /// Flag bits of [`DecodedTrace::flags`].
-pub(crate) const F_LOAD: u8 = 1 << 0;
-pub(crate) const F_CDP: u8 = 1 << 1;
-pub(crate) const F_MEM: u8 = 1 << 2;
-pub(crate) const F_BRANCH: u8 = 1 << 3;
-pub(crate) const F_TAKEN: u8 = 1 << 4;
+const F_LOAD: u8 = 1 << 0;
+const F_CDP: u8 = 1 << 1;
+const F_MEM: u8 = 1 << 2;
+const F_BRANCH: u8 = 1 << 3;
+const F_TAKEN: u8 = 1 << 4;
 /// Branch whose target is the next sequential pc (the Sec. IV-A format
 /// switch): folds to an ALU op at issue, ends the fetch group without a
 /// redirect bubble.
-pub(crate) const F_SEQ: u8 = 1 << 5;
+const F_SEQ: u8 = 1 << 5;
 /// `Bl` with a recorded outcome: commit reports the call target to the
 /// EFetch hook.
-pub(crate) const F_CALL: u8 = 1 << 6;
+const F_CALL: u8 = 1 << 6;
 /// Flag-setting compare (`Cmp`/`Cmn`/`Tst`/`Vcmp`): produces no
 /// forwardable value, so it never accrues dataflow fan-out.
-pub(crate) const F_CMP: u8 = 1 << 7;
+const F_CMP: u8 = 1 << 7;
 
 /// Branch-prediction dispatch class of [`DecodedTrace::br_class`] (only
 /// meaningful when `F_BRANCH` is set).
-pub(crate) const BR_OTHER: u8 = 0;
-pub(crate) const BR_COND: u8 = 1;
-pub(crate) const BR_CALL: u8 = 2;
-pub(crate) const BR_RET: u8 = 3;
+const BR_OTHER: u8 = 0;
+const BR_COND: u8 = 1;
+const BR_CALL: u8 = 2;
+const BR_RET: u8 = 3;
 
 fn fu_code(kind: FuKind) -> u8 {
     match kind {
@@ -124,28 +133,28 @@ pub struct DecodedTrace {
     /// Folded functional-unit kind (`fu_code`): statically-sequential
     /// switch branches already fold to `IntAlu` here, so issue never
     /// re-derives it.
-    kind: Vec<u8>,
+    pub(crate) kind: Vec<u8>,
     /// Execution latency for non-load kinds (stores carry the store-buffer
     /// latency; loads resolve through the memory system at issue).
-    lat: Vec<u32>,
+    pub(crate) lat: Vec<u32>,
     /// `F_*` flag bits.
-    flags: Vec<u8>,
+    pub(crate) flags: Vec<u8>,
     /// Instruction size in bytes (2 = Thumb, 4 = ARM).
-    bytes: Vec<u8>,
+    pub(crate) bytes: Vec<u8>,
     /// Dependence indices *shifted by one* (`0` is the always-done
     /// sentinel, insn `i` is slot `i + 1`), so the ready check is three
     /// unconditional loads regardless of how many real deps exist — and
     /// the encoding is independent of the trace length, which is what
     /// makes prefix copying across differently-sized variants sound.
-    deps: Vec<[u32; 3]>,
+    pub(crate) deps: Vec<[u32; 3]>,
     /// Program counter.
-    pc: Vec<u64>,
+    pub(crate) pc: Vec<u64>,
     /// Effective address for memory ops (0 otherwise).
-    mem_addr: Vec<u64>,
+    pub(crate) mem_addr: Vec<u64>,
     /// Branch target (0 when not a branch).
-    target: Vec<u64>,
+    pub(crate) target: Vec<u64>,
     /// Branch-prediction dispatch class (`BR_*`).
-    br_class: Vec<u8>,
+    pub(crate) br_class: Vec<u8>,
 }
 
 impl DecodedTrace {
@@ -418,26 +427,23 @@ impl IndexRing {
     }
 }
 
-/// Reusable per-run working memory for the cycle loop.
-///
-/// One `run` fills seven per-instruction timestamp tables plus the
-/// issue/reorder queues and a decoded-trace column set; across a campaign
-/// the simulator runs thousands of times on same-length traces, so callers
-/// on the hot path keep one `SimScratch` per worker and pass it to
-/// [`Simulator::run_with_scratch`] — every table is then recycled
-/// (cleared and refilled, never reallocated once warm).
+/// The working memory of the cycle loop, whatever feeds it: seven
+/// per-instruction timestamp tables, the issue/reorder queues and the
+/// recycled models. [`SimScratch`] sizes the tables to the trace;
+/// [`StreamScratch`](crate::StreamScratch) sizes them to its ring and adds
+/// the ring's columns. Tables are indexed by [`Window::slot`].
 #[derive(Debug, Default)]
-pub struct SimScratch {
-    fetched_at: Vec<u64>,
-    supply_stall: Vec<u32>,
-    blocked_at_fetch: Vec<u64>,
-    blocked_at_decode: Vec<u64>,
-    decoded_at: Vec<u64>,
-    issued_at: Vec<u64>,
-    /// Completion times, *shifted by one*: slot 0 is the always-done
-    /// sentinel the padded dependence encoding points at, insn `i` lives
-    /// in slot `i + 1`.
-    done_at: Vec<u64>,
+pub(crate) struct CoreScratch {
+    pub(crate) fetched_at: Vec<u64>,
+    pub(crate) supply_stall: Vec<u32>,
+    pub(crate) blocked_at_fetch: Vec<u64>,
+    pub(crate) blocked_at_decode: Vec<u64>,
+    pub(crate) decoded_at: Vec<u64>,
+    pub(crate) issued_at: Vec<u64>,
+    /// Completion times, *shifted by one*: insn `i` lives in slot
+    /// `slot(i + 1)`, which leaves slot 0 of a materialized run free for
+    /// the always-done sentinel the padded dependence encoding points at.
+    pub(crate) done_at: Vec<u64>,
     /// Issue-queue entries with at least one dependence still lacking a
     /// completion time; rescanned each cycle (`UNSET` propagates through
     /// the dependence `max` until every dep has issued).
@@ -449,18 +455,74 @@ pub struct SimScratch {
     /// program order (ascending index); entries persist here across cycles
     /// while blocked on functional units.
     ready_pool: Vec<u32>,
-    rob: IndexRing,
+    pub(crate) rob: IndexRing,
     ready: Vec<u32>,
     int_div_free: Vec<u64>,
     float_div_free: Vec<u64>,
-    /// Owned decode for the entry points that take a plain [`Trace`];
-    /// `Option` so it can be moved out while the scratch is destructured.
-    decoded: Option<DecodedTrace>,
     /// Recycled model state (memory hierarchy, branch predictor,
     /// criticality table): each run resets them in place to the cold state
     /// a fresh construction would produce, avoiding the ~1 MB of cache-line
     /// allocation a `MemSystem::new` performs per run.
-    models: Option<(MemSystem, Bpu, CritTable)>,
+    models: Option<Models>,
+}
+
+/// The models a run drives: memory hierarchy, branch predictor,
+/// criticality table.
+type Models = (MemSystem, Bpu, CritTable);
+
+impl CoreScratch {
+    /// Empties the pipeline queues and hands out the models, reset to the
+    /// cold state of a fresh construction.
+    fn begin(&mut self, sim: &Simulator) -> Models {
+        let cfg = &sim.cpu;
+        self.waiting.clear();
+        self.wake.clear();
+        self.ready_pool.clear();
+        self.rob.reset(cfg.rob_entries);
+        self.ready.clear();
+        self.int_div_free.clear();
+        self.int_div_free.resize(cfg.fu.int_div as usize, 0);
+        self.float_div_free.clear();
+        self.float_div_free.resize(cfg.fu.float_div as usize, 0);
+        match self.models.take() {
+            Some((mut mem, mut bpu, mut crit_table)) => {
+                mem.reset_to(&sim.mem_config);
+                bpu.reset_to(cfg.bpu_entries, cfg.bpu_history_bits, cfg.ras_depth);
+                crit_table.reset_to(cfg.bpu_entries, cfg.crit_threshold);
+                (mem, bpu, crit_table)
+            }
+            None => (
+                MemSystem::new(&sim.mem_config),
+                Bpu::new(cfg.bpu_entries, cfg.bpu_history_bits, cfg.ras_depth),
+                CritTable::new(cfg.bpu_entries, cfg.crit_threshold),
+            ),
+        }
+    }
+
+    /// Bytes held by the pipeline queues.
+    pub(crate) fn queue_bytes(&self) -> usize {
+        (self.waiting.capacity() + self.ready_pool.capacity() + self.ready.capacity()) * 4
+            + self.wake.capacity() * 16
+            + self.rob.resident_bytes()
+            + (self.int_div_free.capacity() + self.float_div_free.capacity()) * 8
+    }
+}
+
+/// Reusable per-run working memory for the cycle loop.
+///
+/// One `run` fills seven per-instruction timestamp tables plus the
+/// issue/reorder queues and a decoded-trace column set; across a campaign
+/// the simulator runs thousands of times on same-length traces, so callers
+/// on the hot path keep one `SimScratch` per worker and pass it to
+/// [`Simulator::run_with_scratch`] — every table is then recycled
+/// (cleared and refilled, never reallocated once warm).
+#[derive(Debug, Default)]
+pub struct SimScratch {
+    core: CoreScratch,
+    /// Owned decode for the entry points that take a plain [`Trace`];
+    /// `Option` so it can be moved out while the scratch is borrowed by
+    /// the cycle loop.
+    decoded: Option<DecodedTrace>,
 }
 
 impl SimScratch {
@@ -469,43 +531,31 @@ impl SimScratch {
         SimScratch::default()
     }
 
-    /// Re-initializes every table for an `n`-instruction run.
+    /// Sizes every timestamp table for an `n`-instruction run.
     ///
-    /// The timestamp tables are *not* bulk-filled: every slot is written
-    /// before it is read — fetch stamps `fetched_at`/`supply_stall`/
+    /// The tables are *not* bulk-filled: every slot is written before it
+    /// is read — fetch stamps `fetched_at`/`supply_stall`/
     /// `blocked_at_fetch`, dispatch stamps `decoded_at`/`blocked_at_decode`
     /// and seeds the `issued_at`/`done_at` slots with `UNSET` (dependences
     /// always point at earlier instructions, which dispatch strictly in
     /// order, so a dependence slot is seeded before any wakeup scan can
     /// read it). A warm scratch therefore pays no O(n) memset per run.
-    fn reset(&mut self, n: usize, cfg: &CpuConfig) {
-        grow(&mut self.fetched_at, n);
-        grow(&mut self.supply_stall, n);
-        grow(&mut self.blocked_at_fetch, n);
-        grow(&mut self.blocked_at_decode, n);
-        grow(&mut self.decoded_at, n);
-        grow(&mut self.issued_at, n);
-        grow(&mut self.done_at, n + 1);
-        self.done_at[0] = 0;
-        self.waiting.clear();
-        self.wake.clear();
-        self.ready_pool.clear();
-        self.rob.reset(cfg.rob_entries);
-        self.ready.clear();
-        fill(&mut self.int_div_free, cfg.fu.int_div as usize, 0);
-        fill(&mut self.float_div_free, cfg.fu.float_div as usize, 0);
+    fn size_tables(&mut self, n: usize) {
+        let t = &mut self.core;
+        grow(&mut t.fetched_at, n);
+        grow(&mut t.supply_stall, n);
+        grow(&mut t.blocked_at_fetch, n);
+        grow(&mut t.blocked_at_decode, n);
+        grow(&mut t.decoded_at, n);
+        grow(&mut t.issued_at, n);
+        grow(&mut t.done_at, n + 1);
+        t.done_at[0] = 0;
     }
-}
-
-/// `clear` + `resize`: refills in place, reallocating only to grow.
-pub(crate) fn fill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
-    v.clear();
-    v.resize(n, value);
 }
 
 /// Sets a table's length without initializing its contents: stale values
 /// from a previous run are deliberately left in place because every slot is
-/// written before it is read (see [`SimScratch::reset`]).
+/// written before it is read (see [`SimScratch::size_tables`]).
 fn grow<T: Default + Clone>(v: &mut Vec<T>, n: usize) {
     if v.len() < n {
         v.resize(n, T::default());
@@ -518,7 +568,7 @@ fn grow<T: Default + Clone>(v: &mut Vec<T>, n: usize) {
 /// program order). The pool holds a handful of entries, so a binary search
 /// plus shift beats any cleverer structure.
 #[inline]
-pub(crate) fn insert_sorted(pool: &mut Vec<u32>, i: u32) {
+fn insert_sorted(pool: &mut Vec<u32>, i: u32) {
     let pos = pool.partition_point(|&x| x < i);
     pool.insert(pos, i);
 }
@@ -560,12 +610,6 @@ impl Simulator {
     /// The core configuration.
     pub fn cpu_config(&self) -> &CpuConfig {
         &self.cpu
-    }
-
-    /// The memory configuration (crate-internal: the streaming front-end
-    /// constructs its own model instances).
-    pub(crate) fn mem_config(&self) -> &MemConfig {
-        &self.mem_config
     }
 
     /// Runs the trace to completion and returns the timing result.
@@ -625,8 +669,8 @@ impl Simulator {
             fanout.len(),
             "fanout slice must match the trace"
         );
-        // Move the owned decode out so the scratch can be destructured by
-        // the core loop while the decode is borrowed.
+        // Move the owned decode out so the scratch can be lent to the
+        // cycle loop while the decode is borrowed.
         let mut decoded = scratch.decoded.take().unwrap_or_default();
         decoded.decode_into(trace);
         let out = self.run_decoded(&decoded, fanout, scratch);
@@ -659,494 +703,444 @@ impl Simulator {
             fanout.len(),
             "fanout slice must match the decoded trace"
         );
-        let cfg = &self.cpu;
-        let (mut mem, mut bpu, mut crit_table) = match scratch.models.take() {
-            Some((mut mem, mut bpu, mut crit_table)) => {
-                mem.reset_to(&self.mem_config);
-                bpu.reset_to(cfg.bpu_entries, cfg.bpu_history_bits, cfg.ras_depth);
-                crit_table.reset_to(cfg.bpu_entries, cfg.crit_threshold);
-                (mem, bpu, crit_table)
-            }
-            None => (
-                MemSystem::new(&self.mem_config),
-                Bpu::new(cfg.bpu_entries, cfg.bpu_history_bits, cfg.ras_depth),
-                CritTable::new(cfg.bpu_entries, cfg.crit_threshold),
-            ),
-        };
-
         let n = decoded.len();
-        scratch.reset(n, cfg);
-        // Destructure for disjoint borrows across the stage loops.
-        let SimScratch {
-            fetched_at,
-            supply_stall,
-            blocked_at_fetch,
-            blocked_at_decode,
-            decoded_at,
-            issued_at,
-            done_at,
-            waiting,
-            wake,
-            ready_pool,
-            rob,
-            ready,
-            int_div_free,
-            float_div_free,
-            ..
-        } = scratch;
-        // Hot columns and config, hoisted out of the cycle loop.
-        let kind_col = &decoded.kind[..n];
-        let lat_col = &decoded.lat[..n];
-        let flags_col = &decoded.flags[..n];
-        let deps_col = &decoded.deps[..n];
-        let pc_col = &decoded.pc[..n];
-        let addr_col = &decoded.mem_addr[..n];
-        let width = cfg.width;
-        let rob_cap = cfg.rob_entries;
-        let iq_cap = cfg.iq_entries;
-        let prioritize = cfg.prioritize_critical;
-        let crit_threshold = cfg.crit_threshold;
-        let redirect_penalty = u64::from(cfg.redirect_penalty);
-        let cdp_stall = u64::from(cfg.cdp_bubble.saturating_sub(1));
-        let pool = &cfg.fu;
+        scratch.size_tables(n);
+        self.run_core(&mut Flat { decoded, fanout }, &mut scratch.core, n)
+    }
 
-        // Cumulative count of backend-blocked cycles, sampled at fetch time;
-        // lets commit attribute each instruction's buffer time between
-        // "genuine fetch residency" and "ROB back-pressure".
-        let mut blocked_cum = 0u64;
-
-        // Issue-queue occupancy: waiting + wake + ready_pool entries.
-        let mut iq_len = 0usize;
-        let mut fetch_idx = 0usize;
-        // The fetch queue is the contiguous range [fq_head, fetch_idx):
-        // fetch delivers trace order, so the "queue" is two counters.
-        let mut fq_head = 0usize;
-        let mut current_line: Option<u64> = None;
-        let mut fetch_resume_at = 0u64;
-        let mut resume_reason = SupplyStall::None;
-        let mut fetch_blocked_on: Option<u32> = None;
-        let mut pending_supply = 0u32;
-        let mut dispatch_block_until = 0u64;
-
-        let mut now = 0u64;
-        let mut head_since = 0u64;
-        let mut ledger = CycleLedger::new();
-        let mut stage_all = StageBreakdown::default();
-        let mut stage_critical = StageBreakdown::default();
-        let mut committed = 0u64;
-        let mut cdp_switches = 0u64;
-        let mut thumb_fetched = 0u64;
-
+    /// The cycle loop, shared by every entry point: `n` instructions run
+    /// through [`Core::cycle`] until fetch, the fetch queue and the ROB
+    /// are all drained, with `window` feeding the columns ahead of fetch.
+    pub(crate) fn run_core<W: Window>(
+        &self,
+        window: &mut W,
+        scratch: &mut CoreScratch,
+        n: usize,
+    ) -> (SimResult, CycleLedger) {
         let hard_cap = (n as u64).saturating_mul(1000).max(1_000_000);
-
-        while fetch_idx < n || fq_head < fetch_idx || !rob.is_empty() {
-            // ---- commit ----
-            let mut commits = 0;
-            while commits < width {
-                let Some(head) = rob.front() else { break };
-                let hi = head as usize;
-                let done = done_at[hi + 1];
-                if done > now {
-                    break;
-                }
-                rob.pop_front();
-                commits += 1;
-                committed += 1;
-                let flags = flags_col[hi];
-                // Aggregate stage residencies. Fetch-buffer time that passed
-                // while dispatch was blocked on a full ROB/IQ is *backend*
-                // back-pressure, not fetch-stage time — gem5 charges it to
-                // rename-blocked-on-ROB, the paper to "ROB queue
-                // residencies" — so it lands in the commit bucket.
-                let buffer_total = decoded_at[hi]
-                    .saturating_sub(fetched_at[hi])
-                    .saturating_sub(1);
-                let buffer_blocked =
-                    (blocked_at_decode[hi] - blocked_at_fetch[hi]).min(buffer_total);
-                let buffer = buffer_total - buffer_blocked;
-                let issue_wait = issued_at[hi].saturating_sub(decoded_at[hi]);
-                let execute = done.saturating_sub(issued_at[hi]);
-                // Head-blocking time plus backend-blocked buffer time: the
-                // ROB bucket charges culprits and back-pressure, not every
-                // instruction queued behind them.
-                let commit_wait = now.saturating_sub(done.max(head_since)) + buffer_blocked;
-                head_since = now;
-                stage_all.add(
-                    u64::from(supply_stall[hi]),
-                    buffer,
-                    1,
-                    issue_wait,
-                    execute,
-                    commit_wait,
-                );
-                if fanout[hi] >= crit_threshold {
-                    stage_critical.add(
-                        u64::from(supply_stall[hi]),
-                        buffer,
-                        1,
-                        issue_wait,
-                        execute,
-                        commit_wait,
-                    );
-                }
-                // Criticality training (predictor-table hardware, Sec. II-A).
-                crit_table.train(pc_col[hi], fanout[hi]);
-                if flags & F_LOAD != 0 {
-                    mem.train_load_criticality(pc_col[hi], fanout[hi]);
-                }
-                // EFetch hook: observe committed calls.
-                if flags & F_CALL != 0 {
-                    mem.observe_call(decoded.target[hi], now);
-                }
-            }
-
-            // ---- issue ----
-            let mut any_issued = false;
-            if iq_len > 0 {
-                // Wakeup scoreboard: entries whose dependences have all
-                // issued carry a fixed wakeup time (completion times are
-                // written once), so they are scheduled into a time-keyed
-                // heap exactly once and never rescanned. Only entries
-                // still waiting on an *unissued* dependence — `UNSET`
-                // propagates through the max — are rescanned per cycle.
-                if !waiting.is_empty() {
-                    waiting.retain(|&i| {
-                        let d = deps_col[i as usize];
-                        // Slot 0 is the always-done sentinel, so three
-                        // unconditional loads replace the variable-length
-                        // dependence walk.
-                        let ra = done_at[d[0] as usize]
-                            .max(done_at[d[1] as usize])
-                            .max(done_at[d[2] as usize]);
-                        if ra == UNSET {
-                            return true;
-                        }
-                        if ra <= now {
-                            insert_sorted(ready_pool, i);
-                        } else {
-                            wake.push(Reverse((ra, i)));
-                        }
-                        false
-                    });
-                }
-                while let Some(&Reverse((ra, i))) = wake.peek() {
-                    if ra > now {
-                        break;
-                    }
-                    wake.pop();
-                    insert_sorted(ready_pool, i);
-                }
-                // The pool is kept in ascending (program) order, matching
-                // the per-cycle rebuild of the scalar path; prioritization
-                // stable-sorts a scratch copy so the pool's canonical
-                // order survives for later cycles.
-                let selection: &[u32] = if prioritize {
-                    ready.clear();
-                    ready.extend_from_slice(ready_pool);
-                    // Critical-first, stable within each class (program order).
-                    ready.sort_by_key(|&i| !crit_table.is_critical(pc_col[i as usize]));
-                    ready
-                } else {
-                    ready_pool
-                };
-                let mut issued_count = 0u32;
-                let mut used = FuUse::default();
-                for &i in selection {
-                    if issued_count >= width {
-                        break;
-                    }
-                    let hi = i as usize;
-                    let kind = kind_col[hi];
-                    if !used.try_take(kind, pool, now, int_div_free, float_div_free) {
-                        continue;
-                    }
-                    // Latency.
-                    let latency = if kind == K_MEM {
-                        let addr = addr_col[hi];
-                        if flags_col[hi] & F_LOAD != 0 {
-                            let lat = mem.data_access(addr, now);
-                            mem.observe_load(pc_col[hi], addr, now);
-                            lat
-                        } else {
-                            // Stores retire through the store buffer at
-                            // L1 speed; the access is still performed
-                            // for traffic/energy accounting.
-                            let _ = mem.data_access(addr, now);
-                            u64::from(lat_col[hi])
-                        }
-                    } else {
-                        u64::from(lat_col[hi])
-                    };
-                    issued_at[hi] = now;
-                    let done = now + latency;
-                    done_at[hi + 1] = done;
-                    // Occupy unpipelined units.
-                    if kind == K_INT_DIV {
-                        if let Some(free) = int_div_free.iter_mut().find(|f| **f <= now) {
-                            *free = done;
-                        }
-                    } else if kind == K_FLOAT_DIV {
-                        if let Some(free) = float_div_free.iter_mut().find(|f| **f <= now) {
-                            *free = done;
-                        }
-                    }
-                    // Resolve a blocking mispredicted branch.
-                    if fetch_blocked_on == Some(i) {
-                        fetch_blocked_on = None;
-                        fetch_resume_at = done + redirect_penalty;
-                        resume_reason = SupplyStall::Branch;
-                    }
-                    any_issued = true;
-                    issued_count += 1;
-                }
-                if any_issued {
-                    // An entry issued this cycle iff its issue stamp is
-                    // set: the pool only ever holds unissued entries.
-                    ready_pool.retain(|&i| issued_at[i as usize] == UNSET);
-                    iq_len -= issued_count as usize;
-                }
-            }
-
-            // ---- dispatch (decode + rename) ----
-            let fq_was = fq_head;
-            let mut dispatched_this_cycle = 0u32;
-            let mut backend_blocked = false;
-            if now >= dispatch_block_until {
-                let mut dispatched = 0;
-                while dispatched < width && fq_head < fetch_idx {
-                    let hi = fq_head;
-                    if now < fetched_at[hi] + 1 {
-                        break; // still in the decode pipe
-                    }
-                    if flags_col[hi] & F_CDP != 0 {
-                        // The format switch is a decoder *prefix*: the mode
-                        // flip closed timing at 160 ps in the paper's 45 nm
-                        // synthesis, so it is absorbed by the pipelined
-                        // decoder — it consumes fetch bytes and a fetch-queue
-                        // entry but no dispatch slot, and never enters the
-                        // ROB (Sec. IV-B). The paper's conservative +1 decode
-                        // cycle is a latency (pipeline-fill) effect with no
-                        // steady-state bandwidth cost.
-                        fq_head += 1;
-                        decoded_at[hi] = now;
-                        blocked_at_decode[hi] = blocked_cum;
-                        done_at[hi + 1] = now;
-                        cdp_switches += 1;
-                        // The paper conservatively charges one extra decode
-                        // cycle; a pipelined decoder hides it, so only the
-                        // cycles *beyond* the first stall dispatch (the
-                        // knob matters for the ablation sweep).
-                        dispatch_block_until = now + cdp_stall;
-                        continue;
-                    }
-                    if rob.len() >= rob_cap || iq_len >= iq_cap {
-                        backend_blocked = dispatched == 0;
-                        break;
-                    }
-                    fq_head += 1;
-                    decoded_at[hi] = now;
-                    blocked_at_decode[hi] = blocked_cum;
-                    // Seed the lazily-initialized issue/completion slots
-                    // (the tables are not bulk-filled; see
-                    // `SimScratch::reset`).
-                    issued_at[hi] = UNSET;
-                    done_at[hi + 1] = UNSET;
-                    rob.push_back(hi as u32);
-                    waiting.push(hi as u32);
-                    iq_len += 1;
-                    dispatched += 1;
-                }
-                dispatched_this_cycle = dispatched;
-            }
-            if backend_blocked {
-                blocked_cum += 1;
-            }
-
-            // ---- fetch ----
-            let fetch_was = fetch_idx;
-            let fetch_stall: Option<CycleClass> = if fetch_idx < n {
-                if fetch_blocked_on.is_some() {
-                    pending_supply += 1;
-                    Some(CycleClass::FetchStallBranch)
-                } else if now < fetch_resume_at {
-                    pending_supply += 1;
-                    match resume_reason {
-                        SupplyStall::ICacheMiss => Some(CycleClass::FetchStallICache),
-                        SupplyStall::Branch => Some(CycleClass::FetchStallBranch),
-                        SupplyStall::None => None,
-                    }
-                } else {
-                    self.fetch_cycle(
-                        decoded,
-                        &mut fetch_idx,
-                        fq_head,
-                        now,
-                        &mut mem,
-                        &mut bpu,
-                        fetched_at,
-                        supply_stall,
-                        &mut pending_supply,
-                        &mut current_line,
-                        &mut fetch_resume_at,
-                        &mut resume_reason,
-                        &mut fetch_blocked_on,
-                        &mut thumb_fetched,
-                        dispatched_this_cycle,
-                        blocked_cum,
-                        blocked_at_fetch,
-                    )
-                }
-            } else {
-                None
-            };
-
-            // ---- ledger: classify this cycle, exactly once ----
-            // Fetch-side stalls first (attribution order documented in
-            // `critic_obs::ledger`), then backend progress by what the ROB
-            // head was doing, then front-end-only progress, then drain.
-            let class = if let Some(stall) = fetch_stall {
-                stall
-            } else if commits > 0 {
-                CycleClass::Commit
-            } else if let Some(head) = rob.front() {
-                let hi = head as usize;
-                if issued_at[hi] != UNSET {
-                    if flags_col[hi] & F_MEM != 0 {
-                        CycleClass::Mem
-                    } else {
-                        CycleClass::Execute
-                    }
-                } else {
-                    CycleClass::Issue
-                }
-            } else if fq_head < fetch_idx || dispatched_this_cycle > 0 {
-                CycleClass::Decode
-            } else {
-                CycleClass::SquashIdle
-            };
-            ledger.charge(class);
-
-            // ---- idle-window skip ----
-            // When a cycle made no progress at all (no commit, no issue, no
-            // dispatch or CDP consumption, no fetch delivery) and nothing is
-            // poised to become ready, the pipeline state is frozen: every
-            // following cycle repeats this one's classification verbatim
-            // until the next scheduled event. Jump straight to that event,
-            // bulk-charging the skipped cycles to the same ledger bucket —
-            // the partition is unchanged because each skipped cycle is
-            // counted exactly once, with the classification it would have
-            // received. Events that can end the window: the ROB head's
-            // completion, the wake heap's next ready time, fetch-supply
-            // resumption, the CDP dispatch stall expiring, and the decode
-            // pipe delivering the next fetch-queue entry. A non-empty ready
-            // pool disqualifies the window (a div-unit-blocked entry wakes
-            // on unit availability, which is not in the event set).
-            if commits == 0
-                && !any_issued
-                && dispatched_this_cycle == 0
-                && fq_head == fq_was
-                && fetch_idx == fetch_was
-                && ready_pool.is_empty()
-            {
-                let mut next = UNSET;
-                if let Some(head) = rob.front() {
-                    let done = done_at[head as usize + 1];
-                    if done != UNSET {
-                        next = next.min(done);
-                    }
-                }
-                if let Some(&Reverse((ra, _))) = wake.peek() {
-                    next = next.min(ra);
-                }
-                if fetch_idx < n && fetch_blocked_on.is_none() && fetch_resume_at > now {
-                    next = next.min(fetch_resume_at);
-                }
-                if now < dispatch_block_until {
-                    next = next.min(dispatch_block_until);
-                }
-                if fq_head < fetch_idx
-                    && rob.len() < rob_cap
-                    && iq_len < iq_cap
-                    && now >= dispatch_block_until
-                {
-                    // Dispatch is waiting only on the decode pipe.
-                    next = next.min(fetched_at[fq_head] + 1);
-                }
-                if next != UNSET && next > now + 1 {
-                    let skipped = next - now - 1;
-                    ledger.charge_many(class, skipped);
-                    // Replay the per-cycle side counters the skipped cycles
-                    // would have bumped: supply-stall residency while fetch
-                    // is branch-blocked or inside a miss/redirect window,
-                    // and the backend-blocked accumulator while dispatch is
-                    // stuck on a full ROB/IQ.
-                    if fetch_idx < n && (fetch_blocked_on.is_some() || now + 1 < fetch_resume_at) {
-                        pending_supply += skipped as u32;
-                    }
-                    if backend_blocked {
-                        blocked_cum += skipped;
-                    }
-                    now += skipped;
-                }
-            }
-
-            now += 1;
-            if now > hard_cap {
+        let mut models = scratch.begin(self);
+        let mut core = Core::new(&self.cpu, scratch, &mut models, n);
+        while core.fetch_idx < n || core.fq_head < core.fetch_idx || !core.scratch.rob.is_empty() {
+            window.feed(core.scratch, core.fetch_idx, core.fq_head);
+            core.cycle(window);
+            if core.now > hard_cap {
                 panic!("simulation exceeded the cycle cap: deadlock in the pipeline model");
             }
         }
+        let out = core.finish();
+        scratch.models = Some(models);
+        out
+    }
+}
 
-        debug_assert!(
-            ledger.check(now).is_ok(),
-            "cycle ledger must partition the run: {:?}",
-            ledger.check(now)
-        );
-        // The Fig. 3b stall taxonomy is a projection of the ledger — the
-        // same audited partition feeds figures and EXPERIMENTS.md.
-        let fetch_stalls = FetchStalls {
-            icache: ledger.fetch_stall_icache,
-            branch: ledger.fetch_stall_branch,
-            backpressure: ledger.fetch_stall_backpressure,
-        };
-        let result = SimResult {
-            cycles: now,
-            committed,
-            cdp_switches,
-            fetch_stalls,
-            stage_all,
-            stage_critical,
-            bpu: bpu.stats(),
-            mem: mem.stats(),
-            thumb_fetched,
-        };
-        scratch.models = Some((mem, bpu, crit_table));
-        (result, ledger)
+/// Everything that differs between a materialized and a streamed run, and
+/// nothing else: where an instruction's columns and timestamps live, how a
+/// dependence's completion time is read, and how the columns are kept
+/// ahead of fetch. Each entry point passes its implementation by type, so
+/// every run is a monomorphised copy of the one loop with no runtime flag.
+pub(crate) trait Window {
+    /// The decoded columns and the direct fanout, indexed by
+    /// [`Window::slot`].
+    fn columns(&self) -> (&DecodedTrace, &[u32]);
+
+    /// The column and timestamp-table slot of instruction `i`.
+    fn slot(&self, i: usize) -> usize;
+
+    /// The completion time of the dependence with shifted index `d` (`0`
+    /// is the always-done sentinel): `UNSET` while it has not issued.
+    fn dep_done(&self, done_at: &[u64], d: u32) -> u64;
+
+    /// Brings the columns up to date before a cycle's stages run, given
+    /// the fetch frontier and the fetch-queue head.
+    fn feed(&mut self, scratch: &mut CoreScratch, fetch_idx: usize, fq_head: usize);
+}
+
+/// The materialized run: the whole trace is decoded up front, a slot is
+/// the instruction index and nothing is ever evicted.
+struct Flat<'a> {
+    decoded: &'a DecodedTrace,
+    fanout: &'a [u32],
+}
+
+impl Window for Flat<'_> {
+    #[inline]
+    fn columns(&self) -> (&DecodedTrace, &[u32]) {
+        (self.decoded, self.fanout)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn fetch_cycle(
-        &self,
-        decoded: &DecodedTrace,
-        fetch_idx: &mut usize,
-        fq_head: usize,
-        now: u64,
-        mem: &mut MemSystem,
-        bpu: &mut Bpu,
-        fetched_at: &mut [u64],
-        supply_stall: &mut [u32],
-        pending_supply: &mut u32,
-        current_line: &mut Option<u64>,
-        fetch_resume_at: &mut u64,
-        resume_reason: &mut SupplyStall,
-        fetch_blocked_on: &mut Option<u32>,
-        thumb_fetched: &mut u64,
-        dispatched_this_cycle: u32,
-        blocked_cum: u64,
-        blocked_at_fetch: &mut [u64],
-    ) -> Option<CycleClass> {
-        let mut stall: Option<CycleClass> = None;
-        let cfg = &self.cpu;
-        let n = decoded.len;
+    #[inline]
+    fn slot(&self, i: usize) -> usize {
+        i
+    }
+
+    #[inline]
+    fn dep_done(&self, done_at: &[u64], d: u32) -> u64 {
+        done_at[d as usize]
+    }
+
+    #[inline]
+    fn feed(&mut self, _: &mut CoreScratch, _: usize, _: usize) {}
+}
+
+/// The pipeline state of one run. Each stage is one method over it, and
+/// [`Core::cycle`] runs them in order. The models are borrowed rather
+/// than owned so that their out-of-line methods never receive a pointer
+/// into this struct, which leaves the compiler free to keep its scalar
+/// state in registers.
+struct Core<'a> {
+    cfg: &'a CpuConfig,
+    /// Timestamp tables and pipeline queues.
+    scratch: &'a mut CoreScratch,
+    mem: &'a mut MemSystem,
+    bpu: &'a mut Bpu,
+    crit_table: &'a mut CritTable,
+    n: usize,
+    now: u64,
+    /// The fetch queue is the contiguous range `[fq_head, fetch_idx)`:
+    /// fetch delivers trace order, so the "queue" is two counters.
+    fetch_idx: usize,
+    fq_head: usize,
+    /// Issue-queue occupancy: waiting + wake + ready_pool entries.
+    iq_len: usize,
+    current_line: Option<u64>,
+    fetch_resume_at: u64,
+    resume_reason: SupplyStall,
+    fetch_blocked_on: Option<u32>,
+    pending_supply: u32,
+    dispatch_block_until: u64,
+    /// Cumulative count of backend-blocked cycles, sampled at fetch time;
+    /// lets commit attribute each instruction's buffer time between
+    /// "genuine fetch residency" and "ROB back-pressure".
+    blocked_cum: u64,
+    head_since: u64,
+    ledger: CycleLedger,
+    stage_all: StageBreakdown,
+    stage_critical: StageBreakdown,
+    committed: u64,
+    cdp_switches: u64,
+    thumb_fetched: u64,
+}
+
+impl<'a> Core<'a> {
+    fn new(
+        cfg: &'a CpuConfig,
+        scratch: &'a mut CoreScratch,
+        models: &'a mut Models,
+        n: usize,
+    ) -> Core<'a> {
+        let (mem, bpu, crit_table) = models;
+        Core {
+            cfg,
+            scratch,
+            mem,
+            bpu,
+            crit_table,
+            n,
+            now: 0,
+            fetch_idx: 0,
+            fq_head: 0,
+            iq_len: 0,
+            current_line: None,
+            fetch_resume_at: 0,
+            resume_reason: SupplyStall::None,
+            fetch_blocked_on: None,
+            pending_supply: 0,
+            dispatch_block_until: 0,
+            blocked_cum: 0,
+            head_since: 0,
+            ledger: CycleLedger::new(),
+            stage_all: StageBreakdown::default(),
+            stage_critical: StageBreakdown::default(),
+            committed: 0,
+            cdp_switches: 0,
+            thumb_fetched: 0,
+        }
+    }
+
+    /// One cycle: commit → issue → dispatch → fetch, each stage reading the
+    /// state its predecessors left, then the cycle's single ledger charge
+    /// and the idle-window skip.
+    #[inline]
+    fn cycle<W: Window>(&mut self, w: &W) {
+        let commits = self.commit(w);
+        let issued = self.issue(w);
+        let fq_was = self.fq_head;
+        let (dispatched, backend_blocked) = self.dispatch(w);
+        let fetch_was = self.fetch_idx;
+        let fetch_stall = self.fetch(w, dispatched);
+        let class = self.classify(w, fetch_stall, commits, dispatched);
+        self.ledger.charge(class);
+        if commits == 0
+            && !issued
+            && dispatched == 0
+            && self.fq_head == fq_was
+            && self.fetch_idx == fetch_was
+            && self.scratch.ready_pool.is_empty()
+        {
+            self.skip_idle(w, class, backend_blocked);
+        }
+        self.now += 1;
+    }
+
+    /// Retires up to `width` completed instructions from the ROB head,
+    /// aggregating their stage residencies and training the criticality
+    /// hooks. Returns how many committed.
+    #[inline]
+    fn commit<W: Window>(&mut self, w: &W) -> u32 {
+        let (cols, fanout) = w.columns();
+        let s = &mut *self.scratch;
+        let now = self.now;
+        let mut commits = 0;
+        while commits < self.cfg.width {
+            let Some(head) = s.rob.front() else { break };
+            let done = s.done_at[w.slot(head as usize + 1)];
+            if done > now {
+                break;
+            }
+            let hi = w.slot(head as usize);
+            s.rob.pop_front();
+            commits += 1;
+            self.committed += 1;
+            let flags = cols.flags[hi];
+            // Aggregate stage residencies. Fetch-buffer time that passed
+            // while dispatch was blocked on a full ROB/IQ is *backend*
+            // back-pressure, not fetch-stage time — gem5 charges it to
+            // rename-blocked-on-ROB, the paper to "ROB queue
+            // residencies" — so it lands in the commit bucket.
+            let buffer_total = s.decoded_at[hi]
+                .saturating_sub(s.fetched_at[hi])
+                .saturating_sub(1);
+            let buffer_blocked =
+                (s.blocked_at_decode[hi] - s.blocked_at_fetch[hi]).min(buffer_total);
+            let buffer = buffer_total - buffer_blocked;
+            let issue_wait = s.issued_at[hi].saturating_sub(s.decoded_at[hi]);
+            let execute = done.saturating_sub(s.issued_at[hi]);
+            // Head-blocking time plus backend-blocked buffer time: the
+            // ROB bucket charges culprits and back-pressure, not every
+            // instruction queued behind them.
+            let commit_wait = now.saturating_sub(done.max(self.head_since)) + buffer_blocked;
+            self.head_since = now;
+            let supply = u64::from(s.supply_stall[hi]);
+            self.stage_all
+                .add(supply, buffer, 1, issue_wait, execute, commit_wait);
+            if fanout[hi] >= self.cfg.crit_threshold {
+                self.stage_critical
+                    .add(supply, buffer, 1, issue_wait, execute, commit_wait);
+            }
+            // Criticality training (predictor-table hardware, Sec. II-A).
+            self.crit_table.train(cols.pc[hi], fanout[hi]);
+            if flags & F_LOAD != 0 {
+                self.mem.train_load_criticality(cols.pc[hi], fanout[hi]);
+            }
+            // EFetch hook: observe committed calls.
+            if flags & F_CALL != 0 {
+                self.mem.observe_call(cols.target[hi], now);
+            }
+        }
+        commits
+    }
+
+    /// Wakes issue-queue entries whose dependences have completed and
+    /// issues up to `width` of them onto free functional units. Returns
+    /// whether anything issued.
+    #[inline]
+    fn issue<W: Window>(&mut self, w: &W) -> bool {
+        if self.iq_len == 0 {
+            return false;
+        }
+        let (cols, _) = w.columns();
+        let s = &mut *self.scratch;
+        let now = self.now;
+        // Wakeup scoreboard: entries whose dependences have all issued
+        // carry a fixed wakeup time (completion times are written once),
+        // so they are scheduled into a time-keyed heap exactly once and
+        // never rescanned. Only entries still waiting on an *unissued*
+        // dependence — `UNSET` propagates through the max — are rescanned
+        // per cycle.
+        if !s.waiting.is_empty() {
+            s.waiting.retain(|&i| {
+                let d = cols.deps[w.slot(i as usize)];
+                let ra = w
+                    .dep_done(&s.done_at, d[0])
+                    .max(w.dep_done(&s.done_at, d[1]))
+                    .max(w.dep_done(&s.done_at, d[2]));
+                if ra == UNSET {
+                    return true;
+                }
+                if ra <= now {
+                    insert_sorted(&mut s.ready_pool, i);
+                } else {
+                    s.wake.push(Reverse((ra, i)));
+                }
+                false
+            });
+        }
+        while let Some(&Reverse((ra, i))) = s.wake.peek() {
+            if ra > now {
+                break;
+            }
+            s.wake.pop();
+            insert_sorted(&mut s.ready_pool, i);
+        }
+        // The pool is kept in ascending (program) order, matching the
+        // per-cycle rebuild of the scalar path; prioritization
+        // stable-sorts a scratch copy so the pool's canonical order
+        // survives for later cycles.
+        let selection: &[u32] = if self.cfg.prioritize_critical {
+            s.ready.clear();
+            s.ready.extend_from_slice(&s.ready_pool);
+            // Critical-first, stable within each class (program order).
+            let crit_table = &*self.crit_table;
+            s.ready
+                .sort_by_key(|&i| !crit_table.is_critical(cols.pc[w.slot(i as usize)]));
+            &s.ready
+        } else {
+            &s.ready_pool
+        };
+        let mut issued_count = 0u32;
+        let mut used = FuUse::default();
+        for &i in selection {
+            if issued_count >= self.cfg.width {
+                break;
+            }
+            let hi = w.slot(i as usize);
+            let kind = cols.kind[hi];
+            if !used.try_take(kind, &self.cfg.fu, now, &s.int_div_free, &s.float_div_free) {
+                continue;
+            }
+            let latency = if kind == K_MEM {
+                let addr = cols.mem_addr[hi];
+                if cols.flags[hi] & F_LOAD != 0 {
+                    let lat = self.mem.data_access(addr, now);
+                    self.mem.observe_load(cols.pc[hi], addr, now);
+                    lat
+                } else {
+                    // Stores retire through the store buffer at L1 speed;
+                    // the access is still performed for traffic/energy
+                    // accounting.
+                    let _ = self.mem.data_access(addr, now);
+                    u64::from(cols.lat[hi])
+                }
+            } else {
+                u64::from(cols.lat[hi])
+            };
+            s.issued_at[hi] = now;
+            let done = now + latency;
+            s.done_at[w.slot(i as usize + 1)] = done;
+            // Occupy unpipelined units.
+            if kind == K_INT_DIV {
+                if let Some(free) = s.int_div_free.iter_mut().find(|f| **f <= now) {
+                    *free = done;
+                }
+            } else if kind == K_FLOAT_DIV {
+                if let Some(free) = s.float_div_free.iter_mut().find(|f| **f <= now) {
+                    *free = done;
+                }
+            }
+            // Resolve a blocking mispredicted branch.
+            if self.fetch_blocked_on == Some(i) {
+                self.fetch_blocked_on = None;
+                self.fetch_resume_at = done + u64::from(self.cfg.redirect_penalty);
+                self.resume_reason = SupplyStall::Branch;
+            }
+            issued_count += 1;
+        }
+        if issued_count > 0 {
+            // An entry issued this cycle iff its issue stamp is set: the
+            // pool only ever holds unissued entries.
+            s.ready_pool
+                .retain(|&i| s.issued_at[w.slot(i as usize)] == UNSET);
+            self.iq_len -= issued_count as usize;
+        }
+        issued_count > 0
+    }
+
+    /// Decode + rename: moves up to `width` fetch-queue entries into the
+    /// ROB and issue queue. Returns how many dispatched and whether
+    /// dispatch was blocked on a full ROB/IQ before moving any.
+    #[inline]
+    fn dispatch<W: Window>(&mut self, w: &W) -> (u32, bool) {
+        let (cols, _) = w.columns();
+        let s = &mut *self.scratch;
+        let now = self.now;
+        let mut dispatched = 0;
+        let mut backend_blocked = false;
+        if now >= self.dispatch_block_until {
+            while dispatched < self.cfg.width && self.fq_head < self.fetch_idx {
+                let i = self.fq_head;
+                let hi = w.slot(i);
+                if now < s.fetched_at[hi] + 1 {
+                    break; // still in the decode pipe
+                }
+                if cols.flags[hi] & F_CDP != 0 {
+                    // The format switch is a decoder *prefix*: the mode
+                    // flip closed timing at 160 ps in the paper's 45 nm
+                    // synthesis, so it is absorbed by the pipelined
+                    // decoder — it consumes fetch bytes and a fetch-queue
+                    // entry but no dispatch slot, and never enters the
+                    // ROB (Sec. IV-B). The paper's conservative +1 decode
+                    // cycle is a latency (pipeline-fill) effect with no
+                    // steady-state bandwidth cost.
+                    self.fq_head += 1;
+                    s.decoded_at[hi] = now;
+                    s.blocked_at_decode[hi] = self.blocked_cum;
+                    s.done_at[w.slot(i + 1)] = now;
+                    self.cdp_switches += 1;
+                    // The paper conservatively charges one extra decode
+                    // cycle; a pipelined decoder hides it, so only the
+                    // cycles *beyond* the first stall dispatch (the
+                    // knob matters for the ablation sweep).
+                    self.dispatch_block_until =
+                        now + u64::from(self.cfg.cdp_bubble.saturating_sub(1));
+                    continue;
+                }
+                if s.rob.len() >= self.cfg.rob_entries || self.iq_len >= self.cfg.iq_entries {
+                    backend_blocked = dispatched == 0;
+                    break;
+                }
+                self.fq_head += 1;
+                s.decoded_at[hi] = now;
+                s.blocked_at_decode[hi] = self.blocked_cum;
+                // Seed the lazily-initialized issue/completion slots (the
+                // tables are not bulk-filled; see `SimScratch::size_tables`).
+                s.issued_at[hi] = UNSET;
+                s.done_at[w.slot(i + 1)] = UNSET;
+                s.rob.push_back(i as u32);
+                s.waiting.push(i as u32);
+                self.iq_len += 1;
+                dispatched += 1;
+            }
+        }
+        if backend_blocked {
+            self.blocked_cum += 1;
+        }
+        (dispatched, backend_blocked)
+    }
+
+    /// Supplies up to one fetch group along the committed path, or charges
+    /// the cycle's supply stall. Returns the fetch-stall class of this
+    /// cycle, if fetch stalled.
+    #[inline]
+    fn fetch<W: Window>(&mut self, w: &W, dispatched: u32) -> Option<CycleClass> {
+        if self.fetch_idx >= self.n {
+            return None;
+        }
+        if self.fetch_blocked_on.is_some() {
+            self.pending_supply += 1;
+            return Some(CycleClass::FetchStallBranch);
+        }
+        if self.now < self.fetch_resume_at {
+            self.pending_supply += 1;
+            return match self.resume_reason {
+                SupplyStall::ICacheMiss => Some(CycleClass::FetchStallICache),
+                SupplyStall::Branch => Some(CycleClass::FetchStallBranch),
+                SupplyStall::None => None,
+            };
+        }
+        let (cols, _) = w.columns();
+        let s = &mut *self.scratch;
+        let cfg = self.cfg;
+        let now = self.now;
         let icache_hit = 2u64; // L1I hit latency from MemConfig geometry
         let mut bytes = cfg.fetch_bytes_per_cycle;
         // Fetch is *byte*-limited: one 16-byte access per cycle delivers 4
@@ -1155,36 +1149,37 @@ impl Simulator {
         // buys (Sec. III-B). The instruction cap models the fetch buffer's
         // half-word-granular write ports.
         let insn_cap = cfg.fetch_width * 2;
-        let fetch_buffer = cfg.fetch_buffer;
         let taken_resume = 1 + u64::from(cfg.taken_bubble);
+        let mut stall = None;
         let mut delivered = 0u32;
-        while delivered < insn_cap && *fetch_idx < n {
-            if *fetch_idx - fq_head >= fetch_buffer {
+        while delivered < insn_cap && self.fetch_idx < self.n {
+            if self.fetch_idx - self.fq_head >= cfg.fetch_buffer {
                 // Count back-pressure only when the pipe is truly blocked:
                 // buffer full *and* decode moved nothing this cycle. A full
                 // buffer with decode draining at full width is steady-state
                 // flow, not a stall.
-                if delivered == 0 && dispatched_this_cycle == 0 {
+                if delivered == 0 && dispatched == 0 {
                     stall = Some(CycleClass::FetchStallBackpressure);
                 }
                 break;
             }
-            let idx = *fetch_idx;
-            let pc = decoded.pc[idx];
-            let insn_bytes = decoded.bytes[idx];
-            let flags = decoded.flags[idx];
+            let idx = self.fetch_idx;
+            let hi = w.slot(idx);
+            let pc = cols.pc[hi];
+            let insn_bytes = cols.bytes[hi];
+            let flags = cols.flags[hi];
             let line = pc & !63;
-            if *current_line != Some(line) {
-                let latency = mem.ifetch(pc, now);
+            if self.current_line != Some(line) {
+                let latency = self.mem.ifetch(pc, now);
                 // The line will be resident once the miss returns; remember
                 // it so we do not re-access on resume.
-                *current_line = Some(line);
+                self.current_line = Some(line);
                 if latency > icache_hit {
-                    *fetch_resume_at = now + latency;
-                    *resume_reason = SupplyStall::ICacheMiss;
+                    self.fetch_resume_at = now + latency;
+                    self.resume_reason = SupplyStall::ICacheMiss;
                     if delivered == 0 {
                         stall = Some(CycleClass::FetchStallICache);
-                        *pending_supply += 1;
+                        self.pending_supply += 1;
                     }
                     break;
                 }
@@ -1193,16 +1188,16 @@ impl Simulator {
                 break; // per-cycle fetch bandwidth exhausted
             }
             bytes -= u64::from(insn_bytes);
-            fetched_at[idx] = now;
-            blocked_at_fetch[idx] = blocked_cum;
+            s.fetched_at[hi] = now;
+            s.blocked_at_fetch[hi] = self.blocked_cum;
             // Every instruction delivered in this cycle waited out the same
             // supply stall (they sat in the missed line / post-redirect
             // shadow together); the counter clears at end of cycle.
-            supply_stall[idx] = *pending_supply;
+            s.supply_stall[hi] = self.pending_supply;
             if insn_bytes == 2 {
-                *thumb_fetched += 1;
+                self.thumb_fetched += 1;
             }
-            *fetch_idx += 1;
+            self.fetch_idx += 1;
             delivered += 1;
 
             if flags & F_BRANCH == 0 {
@@ -1211,23 +1206,23 @@ impl Simulator {
             let taken = flags & F_TAKEN != 0;
             if cfg.perfect_branch {
                 if taken {
-                    *current_line = None; // discontinuity, but no bubble
+                    self.current_line = None; // discontinuity, but no bubble
                 }
                 continue;
             }
-            let correct = match decoded.br_class[idx] {
-                BR_COND => bpu.predict_conditional(pc, taken),
+            let correct = match cols.br_class[hi] {
+                BR_COND => self.bpu.predict_conditional(pc, taken),
                 BR_CALL => {
-                    bpu.push_return(pc + u64::from(insn_bytes));
+                    self.bpu.push_return(pc + u64::from(insn_bytes));
                     true
                 }
-                BR_RET => bpu.predict_return(decoded.target[idx]),
+                BR_RET => self.bpu.predict_return(cols.target[hi]),
                 _ => true,
             };
             if !correct {
                 // Fetch stops until the branch resolves in execute.
-                *fetch_blocked_on = Some(idx as u32);
-                *current_line = None;
+                self.fetch_blocked_on = Some(idx as u32);
+                self.current_line = None;
                 break;
             }
             if taken {
@@ -1239,32 +1234,151 @@ impl Simulator {
                     break;
                 }
                 // Correctly-predicted taken branch: redirect bubble.
-                *fetch_resume_at = now + taken_resume;
-                *resume_reason = SupplyStall::Branch;
-                *current_line = None;
+                self.fetch_resume_at = now + taken_resume;
+                self.resume_reason = SupplyStall::Branch;
+                self.current_line = None;
                 break;
             }
         }
         if delivered > 0 {
-            *pending_supply = 0;
+            self.pending_supply = 0;
         }
         stall
+    }
+
+    /// The one [`CycleClass`] this cycle is charged to: fetch-side stalls
+    /// first (attribution order documented in `critic_obs::ledger`), then
+    /// backend progress by what the ROB head was doing, then front-end-only
+    /// progress, then drain.
+    #[inline]
+    fn classify<W: Window>(
+        &self,
+        w: &W,
+        fetch_stall: Option<CycleClass>,
+        commits: u32,
+        dispatched: u32,
+    ) -> CycleClass {
+        if let Some(stall) = fetch_stall {
+            stall
+        } else if commits > 0 {
+            CycleClass::Commit
+        } else if let Some(head) = self.scratch.rob.front() {
+            let hi = w.slot(head as usize);
+            if self.scratch.issued_at[hi] == UNSET {
+                CycleClass::Issue
+            } else if w.columns().0.flags[hi] & F_MEM != 0 {
+                CycleClass::Mem
+            } else {
+                CycleClass::Execute
+            }
+        } else if self.fq_head < self.fetch_idx || dispatched > 0 {
+            CycleClass::Decode
+        } else {
+            CycleClass::SquashIdle
+        }
+    }
+
+    /// Idle-window skip, for a cycle that made no progress at all (no
+    /// commit, no issue, no dispatch or CDP consumption, no fetch delivery,
+    /// empty ready pool). The pipeline state is then frozen: every
+    /// following cycle repeats this one's classification verbatim until
+    /// the next scheduled event. Jump straight to that event,
+    /// bulk-charging the skipped cycles to the same ledger bucket — the
+    /// partition is unchanged because each skipped cycle is counted exactly
+    /// once, with the classification it would have received. Events that
+    /// can end the window: the ROB head's completion, the wake heap's next
+    /// ready time, fetch-supply resumption, the CDP dispatch stall
+    /// expiring, and the decode pipe delivering the next fetch-queue entry.
+    /// A non-empty ready pool disqualifies the window (a div-unit-blocked
+    /// entry wakes on unit availability, which is not in the event set).
+    #[inline]
+    fn skip_idle<W: Window>(&mut self, w: &W, class: CycleClass, backend_blocked: bool) {
+        let s = &*self.scratch;
+        let now = self.now;
+        let mut next = UNSET;
+        if let Some(head) = s.rob.front() {
+            let done = s.done_at[w.slot(head as usize + 1)];
+            if done != UNSET {
+                next = next.min(done);
+            }
+        }
+        if let Some(&Reverse((ra, _))) = s.wake.peek() {
+            next = next.min(ra);
+        }
+        let fetching = self.fetch_idx < self.n;
+        if fetching && self.fetch_blocked_on.is_none() && self.fetch_resume_at > now {
+            next = next.min(self.fetch_resume_at);
+        }
+        if now < self.dispatch_block_until {
+            next = next.min(self.dispatch_block_until);
+        } else if self.fq_head < self.fetch_idx
+            && s.rob.len() < self.cfg.rob_entries
+            && self.iq_len < self.cfg.iq_entries
+        {
+            // Dispatch is waiting only on the decode pipe.
+            next = next.min(s.fetched_at[w.slot(self.fq_head)] + 1);
+        }
+        if next != UNSET && next > now + 1 {
+            let skipped = next - now - 1;
+            self.ledger.charge_many(class, skipped);
+            // Replay the per-cycle side counters the skipped cycles would
+            // have bumped: supply-stall residency while fetch is
+            // branch-blocked or inside a miss/redirect window, and the
+            // backend-blocked accumulator while dispatch is stuck on a
+            // full ROB/IQ.
+            if fetching && (self.fetch_blocked_on.is_some() || now + 1 < self.fetch_resume_at) {
+                self.pending_supply += skipped as u32;
+            }
+            if backend_blocked {
+                self.blocked_cum += skipped;
+            }
+            self.now += skipped;
+        }
+    }
+
+    /// Ends the run: checks the ledger partition and assembles the result.
+    fn finish(self) -> (SimResult, CycleLedger) {
+        let ledger = self.ledger;
+        debug_assert!(
+            ledger.check(self.now).is_ok(),
+            "cycle ledger must partition the run: {:?}",
+            ledger.check(self.now)
+        );
+        // The Fig. 3b stall taxonomy is a projection of the ledger — the
+        // same audited partition feeds figures and EXPERIMENTS.md.
+        let fetch_stalls = FetchStalls {
+            icache: ledger.fetch_stall_icache,
+            branch: ledger.fetch_stall_branch,
+            backpressure: ledger.fetch_stall_backpressure,
+        };
+        let result = SimResult {
+            cycles: self.now,
+            committed: self.committed,
+            cdp_switches: self.cdp_switches,
+            fetch_stalls,
+            stage_all: self.stage_all,
+            stage_critical: self.stage_critical,
+            bpu: self.bpu.stats(),
+            mem: self.mem.stats(),
+            thumb_fetched: self.thumb_fetched,
+        };
+        (result, ledger)
     }
 }
 
 /// Folded-kind byte constants the issue loop branches on.
 const K_INT_ALU: u8 = 0;
 const K_INT_MULT: u8 = 1;
-pub(crate) const K_INT_DIV: u8 = 2;
-pub(crate) const K_MEM: u8 = 3;
+const K_INT_DIV: u8 = 2;
+const K_MEM: u8 = 3;
 const K_BRANCH: u8 = 4;
 const K_FLOAT_ADD: u8 = 5;
 const K_FLOAT_MUL: u8 = 6;
-pub(crate) const K_FLOAT_DIV: u8 = 7;
+const K_FLOAT_DIV: u8 = 7;
 
 /// Per-cycle functional-unit usage tracking.
 #[derive(Debug, Default)]
-pub(crate) struct FuUse {
+struct FuUse {
     int_alu: u32,
     int_mult: u32,
     int_div: u32,
@@ -1277,7 +1391,7 @@ pub(crate) struct FuUse {
 
 impl FuUse {
     #[inline]
-    pub(crate) fn try_take(
+    fn try_take(
         &mut self,
         kind: u8,
         pool: &crate::config::FuPool,

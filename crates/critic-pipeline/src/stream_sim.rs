@@ -1,5 +1,5 @@
-//! Streaming front-end for the data-oriented cycle loop: bounded memory,
-//! bit-identical results.
+//! Streaming front-end for the cycle loop: bounded memory, bit-identical
+//! results.
 //!
 //! [`Simulator::run_streamed`] consumes a [`TraceStream`] window-at-a-time
 //! instead of a materialized [`critic_workloads::Trace`] + `DecodedTrace`
@@ -8,6 +8,18 @@
 //! between the oldest un-committed instruction and the fetch frontier plus
 //! one stream window — so peak memory is O(window + look-ahead + ROB),
 //! independent of the trace length.
+//!
+//! # One loop, a three-part seam
+//!
+//! The streamed run executes the same cycle loop as
+//! [`Simulator::run_decoded`] ([`crate::sim`]) and differs only in the
+//! loop's private `Window` seam, filled here by type: (1) slot mapping,
+//! `i & mask` instead of `i`; (2) the dependence completion read,
+//! `done_of` instead of `done_at[d]`; (3) the feed — window decode ahead
+//! of fetch, eviction-floor advance, doubling growth and the peak-bytes
+//! sample — instead of a no-op. As a type parameter rather than a flag,
+//! the seam is monomorphised away: neither run pays for the other, and a
+//! model fix lands in both.
 //!
 //! # Why the results are bit-identical
 //!
@@ -35,24 +47,14 @@
 //! The format-switch CDP pseudo-instructions never enter the ROB, so the
 //! distance between the ROB head and the fetch frontier is *not* bounded
 //! by the ROB capacity alone; the rings grow by doubling (re-placing the
-//! live span under the new mask) in the rare case a CDP-dense region
-//! stretches the span past the initial capacity.
+//! live span under the new mask) when a CDP-dense region stretches the
+//! span past the initial capacity.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use critic_mem::MemSystem;
-use critic_obs::{CycleClass, CycleLedger};
+use critic_obs::CycleLedger;
 use critic_workloads::TraceStream;
 
-use crate::bpu::Bpu;
-use crate::crit::CritTable;
-use crate::sim::{
-    decode_entry, fill, insert_sorted, FuUse, IndexRing, Simulator, SupplyStall, BR_CALL, BR_COND,
-    BR_RET, F_BRANCH, F_CALL, F_CDP, F_LOAD, F_MEM, F_SEQ, F_TAKEN, K_FLOAT_DIV, K_INT_DIV, K_MEM,
-    UNSET,
-};
-use crate::stats::{FetchStalls, SimResult, StageBreakdown};
+use crate::sim::{decode_entry, CoreScratch, DecodedInsn, DecodedTrace, Simulator, Window};
+use crate::stats::SimResult;
 
 /// Bytes per ring slot across every column and timestamp ring (used for
 /// capacity-based accounting: `Vec` capacity × element size, summed).
@@ -74,41 +76,15 @@ pub struct StreamRunStats {
     pub grows: u32,
 }
 
-/// Reusable working memory for [`Simulator::run_streamed`]: the ring
-/// counterpart of [`crate::SimScratch`]. Keep one per worker and reuse it
-/// across runs; rings are recycled, never reallocated once warm.
+/// Reusable working memory for [`Simulator::run_streamed`]: the cycle
+/// loop's tables and queues (shared with [`crate::SimScratch`]), sized as
+/// rings, plus the ring's decoded columns and fanout. Keep one per worker
+/// and reuse it across runs; rings are recycled, never reallocated once
+/// warm.
 #[derive(Debug, Default)]
 pub struct StreamScratch {
-    // Decoded columns, ring-indexed by `i & mask`.
-    kind: Vec<u8>,
-    lat: Vec<u32>,
-    flags: Vec<u8>,
-    bytes: Vec<u8>,
-    deps: Vec<[u32; 3]>,
-    pc: Vec<u64>,
-    mem_addr: Vec<u64>,
-    target: Vec<u64>,
-    br_class: Vec<u8>,
-    fanout: Vec<u32>,
-    // Timestamp tables, ring-indexed. `done_at` is *unshifted* here (slot
-    // `i & mask` holds insn `i`); the sentinel and eviction substitution
-    // live in [`done_of`].
-    fetched_at: Vec<u64>,
-    supply_stall: Vec<u32>,
-    blocked_at_fetch: Vec<u64>,
-    blocked_at_decode: Vec<u64>,
-    decoded_at: Vec<u64>,
-    issued_at: Vec<u64>,
-    done_at: Vec<u64>,
-    // Pipeline queues — identical to `SimScratch`.
-    waiting: Vec<u32>,
-    wake: BinaryHeap<Reverse<(u64, u32)>>,
-    ready_pool: Vec<u32>,
-    rob: IndexRing,
-    ready: Vec<u32>,
-    int_div_free: Vec<u64>,
-    float_div_free: Vec<u64>,
-    models: Option<(MemSystem, Bpu, CritTable)>,
+    core: CoreScratch,
+    ring: RingColumns,
 }
 
 impl StreamScratch {
@@ -116,41 +92,65 @@ impl StreamScratch {
     pub fn new() -> StreamScratch {
         StreamScratch::default()
     }
+}
 
-    /// Ensures every ring holds at least `cap` slots (power of two),
-    /// preserving the live span `[lo, hi)` under the new mask.
-    fn ensure_capacity(&mut self, cap: usize, lo: usize, hi: usize) {
-        let cap = cap.next_power_of_two();
-        if self.kind.len() >= cap {
-            return;
-        }
-        let old_mask = self.kind.len().wrapping_sub(1);
-        regrow(&mut self.kind, old_mask, cap, lo, hi);
-        regrow(&mut self.lat, old_mask, cap, lo, hi);
-        regrow(&mut self.flags, old_mask, cap, lo, hi);
-        regrow(&mut self.bytes, old_mask, cap, lo, hi);
-        regrow(&mut self.deps, old_mask, cap, lo, hi);
-        regrow(&mut self.pc, old_mask, cap, lo, hi);
-        regrow(&mut self.mem_addr, old_mask, cap, lo, hi);
-        regrow(&mut self.target, old_mask, cap, lo, hi);
-        regrow(&mut self.br_class, old_mask, cap, lo, hi);
-        regrow(&mut self.fanout, old_mask, cap, lo, hi);
-        regrow(&mut self.fetched_at, old_mask, cap, lo, hi);
-        regrow(&mut self.supply_stall, old_mask, cap, lo, hi);
-        regrow(&mut self.blocked_at_fetch, old_mask, cap, lo, hi);
-        regrow(&mut self.blocked_at_decode, old_mask, cap, lo, hi);
-        regrow(&mut self.decoded_at, old_mask, cap, lo, hi);
-        regrow(&mut self.issued_at, old_mask, cap, lo, hi);
-        regrow(&mut self.done_at, old_mask, cap, lo, hi);
+/// The ring's decoded columns and fanout, indexed by `i & mask`.
+#[derive(Debug, Default)]
+struct RingColumns {
+    /// The decode's `len` is unused: the ring's capacity is its columns'
+    /// length.
+    cols: DecodedTrace,
+    fanout: Vec<u32>,
+}
+
+impl RingColumns {
+    fn capacity(&self) -> usize {
+        self.cols.kind.len()
     }
 
-    /// Bytes resident in the rings and pipeline queues.
-    fn resident_bytes(&self) -> usize {
-        self.kind.capacity() * BYTES_PER_SLOT
-            + (self.waiting.capacity() + self.ready_pool.capacity() + self.ready.capacity()) * 4
-            + self.wake.capacity() * 16
-            + self.rob.resident_bytes()
-            + (self.int_div_free.capacity() + self.float_div_free.capacity()) * 8
+    /// Ensures every ring — these columns and the loop's timestamp tables
+    /// `t` — holds at least `cap` slots (power of two), preserving the
+    /// live span `[lo, hi)` under the new mask.
+    fn ensure_capacity(&mut self, t: &mut CoreScratch, cap: usize, lo: usize, hi: usize) {
+        let cap = cap.next_power_of_two();
+        if self.capacity() >= cap {
+            return;
+        }
+        let old_mask = self.capacity().wrapping_sub(1);
+        let c = &mut self.cols;
+        regrow(&mut c.kind, old_mask, cap, lo, hi);
+        regrow(&mut c.lat, old_mask, cap, lo, hi);
+        regrow(&mut c.flags, old_mask, cap, lo, hi);
+        regrow(&mut c.bytes, old_mask, cap, lo, hi);
+        regrow(&mut c.deps, old_mask, cap, lo, hi);
+        regrow(&mut c.pc, old_mask, cap, lo, hi);
+        regrow(&mut c.mem_addr, old_mask, cap, lo, hi);
+        regrow(&mut c.target, old_mask, cap, lo, hi);
+        regrow(&mut c.br_class, old_mask, cap, lo, hi);
+        regrow(&mut self.fanout, old_mask, cap, lo, hi);
+        regrow(&mut t.fetched_at, old_mask, cap, lo, hi);
+        regrow(&mut t.supply_stall, old_mask, cap, lo, hi);
+        regrow(&mut t.blocked_at_fetch, old_mask, cap, lo, hi);
+        regrow(&mut t.blocked_at_decode, old_mask, cap, lo, hi);
+        regrow(&mut t.decoded_at, old_mask, cap, lo, hi);
+        regrow(&mut t.issued_at, old_mask, cap, lo, hi);
+        // Completion times are shifted by one: insn `i` sits at `i + 1`.
+        regrow(&mut t.done_at, old_mask, cap, lo + 1, hi + 1);
+    }
+
+    /// Writes one decoded instruction and its fanout into slot `s`.
+    fn set(&mut self, s: usize, d: DecodedInsn, fanout: u32) {
+        let c = &mut self.cols;
+        c.kind[s] = d.kind;
+        c.lat[s] = d.lat;
+        c.flags[s] = d.flags;
+        c.bytes[s] = d.bytes;
+        c.deps[s] = d.deps;
+        c.pc[s] = d.pc;
+        c.mem_addr[s] = d.mem_addr;
+        c.target[s] = d.target;
+        c.br_class[s] = d.br_class;
+        self.fanout[s] = fanout;
     }
 }
 
@@ -173,18 +173,97 @@ fn regrow<T: Copy + Default>(
 }
 
 /// Completion-time lookup through the ring for a *shifted* dependence
-/// index (`0` = always-done sentinel, insn `i` = slot `i + 1`), with the
-/// eviction substitution documented in the module header.
+/// index (`0` = always-done sentinel, insn `i` = `d = i + 1`, stored at
+/// ring slot `d & mask`), with the eviction substitution documented in the
+/// module header: `d <= evict_floor` covers both the sentinel and every
+/// evicted instruction.
 #[inline]
 fn done_of(done_at: &[u64], mask: usize, evict_floor: usize, d: u32) -> u64 {
-    if d == 0 {
-        return 0;
-    }
-    let i = (d - 1) as usize;
-    if i < evict_floor {
+    let d = d as usize;
+    if d <= evict_floor {
         0
     } else {
-        done_at[i & mask]
+        done_at[d & mask]
+    }
+}
+
+/// The streamed run's [`Window`]: ring slots, the evicting dependence
+/// read, and the feed that decodes stream windows ahead of fetch.
+struct Streamed<'a, 't> {
+    stream: &'a mut TraceStream<'t>,
+    ring: &'a mut RingColumns,
+    n: usize,
+    /// How far ahead of fetch the columns are kept decoded: one fetch
+    /// group.
+    feed_ahead: usize,
+    mask: usize,
+    /// Entries decoded into the rings so far (absolute).
+    filled: usize,
+    /// Ring indices below this are committed and may be overwritten.
+    evict_floor: usize,
+    stats: StreamRunStats,
+}
+
+impl Window for Streamed<'_, '_> {
+    #[inline]
+    fn columns(&self) -> (&DecodedTrace, &[u32]) {
+        (&self.ring.cols, &self.ring.fanout)
+    }
+
+    #[inline]
+    fn slot(&self, i: usize) -> usize {
+        i & self.mask
+    }
+
+    #[inline]
+    fn dep_done(&self, done_at: &[u64], d: u32) -> u64 {
+        done_of(done_at, self.mask, self.evict_floor, d)
+    }
+
+    /// Keeps the decode frontier one fetch group ahead of fetch. Most
+    /// cycles find it already there, so only that check is inlined into
+    /// the loop.
+    #[inline]
+    fn feed(&mut self, t: &mut CoreScratch, fetch_idx: usize, fq_head: usize) {
+        let feed_target = self.n.min(fetch_idx + self.feed_ahead);
+        if self.filled < feed_target {
+            self.refill(t, fq_head, feed_target);
+        }
+    }
+}
+
+impl Streamed<'_, '_> {
+    /// Decodes stream windows until `feed_target` entries are filled. This
+    /// is the only point slots are overwritten or the footprint can
+    /// change, so the floor advance, the capacity check, and the peak
+    /// sample all live here.
+    fn refill(&mut self, t: &mut CoreScratch, fq_head: usize, feed_target: usize) {
+        let oldest = t.rob.front().unwrap_or(fq_head as u32) as usize;
+        self.evict_floor = self.evict_floor.max(oldest);
+        while self.filled < feed_target {
+            let w = self
+                .stream
+                .next_window()
+                .expect("a stream yields total_len entries");
+            let need = self.filled + w.entries.len() - self.evict_floor;
+            if need > self.ring.capacity() {
+                // Mid-window growth: re-place the live span. (`w` borrows
+                // the stream, not the rings, so they are free to move.)
+                self.ring
+                    .ensure_capacity(t, need, self.evict_floor, self.filled);
+                self.mask = self.ring.capacity() - 1;
+                self.stats.grows += 1;
+                self.stats.ring_capacity = self.ring.capacity();
+            }
+            for (e, &fanout) in w.entries.iter().zip(w.fanout) {
+                self.ring
+                    .set(self.filled & self.mask, decode_entry(e), fanout);
+                self.filled += 1;
+            }
+        }
+        let resident =
+            self.ring.capacity() * BYTES_PER_SLOT + t.queue_bytes() + self.stream.resident_bytes();
+        self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(resident);
     }
 }
 
@@ -212,533 +291,40 @@ impl Simulator {
     ) -> (SimResult, CycleLedger, StreamRunStats) {
         assert_eq!(stream.emitted(), 0, "run_streamed requires a fresh stream");
         let cfg = self.cpu_config();
-        let (mut mem, mut bpu, mut crit_table) = match scratch.models.take() {
-            Some((mut mem, mut bpu, mut crit_table)) => {
-                mem.reset_to(self.mem_config());
-                bpu.reset_to(cfg.bpu_entries, cfg.bpu_history_bits, cfg.ras_depth);
-                crit_table.reset_to(cfg.bpu_entries, cfg.crit_threshold);
-                (mem, bpu, crit_table)
-            }
-            None => (
-                MemSystem::new(self.mem_config()),
-                Bpu::new(cfg.bpu_entries, cfg.bpu_history_bits, cfg.ras_depth),
-                CritTable::new(cfg.bpu_entries, cfg.crit_threshold),
-            ),
-        };
-
         let n = stream.total_len();
-        let width = cfg.width;
-        let rob_cap = cfg.rob_entries;
-        let iq_cap = cfg.iq_entries;
-        let prioritize = cfg.prioritize_critical;
-        let crit_threshold = cfg.crit_threshold;
-        let redirect_penalty = u64::from(cfg.redirect_penalty);
-        let cdp_stall = u64::from(cfg.cdp_bubble.saturating_sub(1));
-        let pool = &cfg.fu;
-        let fetch_buffer = cfg.fetch_buffer;
-        let insn_cap = cfg.fetch_width * 2;
-        let feed_ahead = insn_cap as usize;
-        let taken_resume = 1 + u64::from(cfg.taken_bubble);
-        let icache_hit = 2u64; // L1I hit latency from MemConfig geometry
-
+        let feed_ahead = cfg.fetch_width as usize * 2;
         // Initial ring capacity: the steady-state live span (one stream
         // window ahead of fetch, the fetch buffer, the ROB) plus headroom
         // for the ROB-invisible CDPs interleaved in it. A window larger
         // than the trace contributes at most the trace.
-        scratch.ensure_capacity(
-            (stream.window().min(n) + fetch_buffer + rob_cap + feed_ahead + 64).next_power_of_two(),
-            0,
-            0,
-        );
-        scratch.waiting.clear();
-        scratch.wake.clear();
-        scratch.ready_pool.clear();
-        scratch.rob.reset(rob_cap);
-        scratch.ready.clear();
-        fill(&mut scratch.int_div_free, cfg.fu.int_div as usize, 0);
-        fill(&mut scratch.float_div_free, cfg.fu.float_div as usize, 0);
-        let mut stats = StreamRunStats {
-            peak_resident_bytes: 0,
-            ring_capacity: scratch.kind.len(),
-            grows: 0,
+        let initial = stream.window().min(n) + cfg.fetch_buffer + cfg.rob_entries + feed_ahead + 64;
+        let StreamScratch { core, ring } = scratch;
+        ring.ensure_capacity(core, initial, 0, 0);
+        let mut window = Streamed {
+            stream,
+            n,
+            feed_ahead,
+            mask: ring.capacity() - 1,
+            stats: StreamRunStats {
+                ring_capacity: ring.capacity(),
+                ..StreamRunStats::default()
+            },
+            ring,
+            filled: 0,
+            evict_floor: 0,
         };
-
-        let mut mask = scratch.kind.len() - 1;
-        // Entries decoded into the rings so far (absolute).
-        let mut filled = 0usize;
-        // Ring indices below this are committed and may be overwritten.
-        let mut evict_floor = 0usize;
-
-        let mut blocked_cum = 0u64;
-        let mut iq_len = 0usize;
-        let mut fetch_idx = 0usize;
-        let mut fq_head = 0usize;
-        let mut current_line: Option<u64> = None;
-        let mut fetch_resume_at = 0u64;
-        let mut resume_reason = SupplyStall::None;
-        let mut fetch_blocked_on: Option<u32> = None;
-        let mut pending_supply = 0u32;
-        let mut dispatch_block_until = 0u64;
-
-        let mut now = 0u64;
-        let mut head_since = 0u64;
-        let mut ledger = CycleLedger::new();
-        let mut stage_all = StageBreakdown::default();
-        let mut stage_critical = StageBreakdown::default();
-        let mut committed = 0u64;
-        let mut cdp_switches = 0u64;
-        let mut thumb_fetched = 0u64;
-
-        let hard_cap = (n as u64).saturating_mul(1000).max(1_000_000);
-
-        while fetch_idx < n || fq_head < fetch_idx || !scratch.rob.is_empty() {
-            // ---- feed ----
-            // Keep the decode frontier one fetch group ahead of fetch.
-            // This is the only point slots are overwritten or the
-            // footprint can change, so the floor advance, the capacity
-            // check, and the peak sample all live here.
-            let feed_target = n.min(fetch_idx + feed_ahead);
-            if filled < feed_target {
-                evict_floor =
-                    evict_floor.max(scratch.rob.front().unwrap_or(fq_head as u32) as usize);
-                while filled < feed_target {
-                    let Some(w) = stream.next_window() else {
-                        unreachable!("stream ended at {filled} before its total_len {n}");
-                    };
-                    let need = filled + w.entries.len() - evict_floor;
-                    if need > scratch.kind.len() {
-                        // Mid-window growth: re-place the live span.
-                        // (Borrow note: `w` borrows `stream`, not
-                        // `scratch`, so the rings are free to move.)
-                        scratch.ensure_capacity(need, evict_floor, filled);
-                        mask = scratch.kind.len() - 1;
-                        stats.grows += 1;
-                        stats.ring_capacity = scratch.kind.len();
-                    }
-                    for (k, e) in w.entries.iter().enumerate() {
-                        let d = decode_entry(e);
-                        let s = filled & mask;
-                        scratch.kind[s] = d.kind;
-                        scratch.lat[s] = d.lat;
-                        scratch.flags[s] = d.flags;
-                        scratch.bytes[s] = d.bytes;
-                        scratch.deps[s] = d.deps;
-                        scratch.pc[s] = d.pc;
-                        scratch.mem_addr[s] = d.mem_addr;
-                        scratch.target[s] = d.target;
-                        scratch.br_class[s] = d.br_class;
-                        scratch.fanout[s] = w.fanout[k];
-                        filled += 1;
-                    }
-                }
-                let resident = scratch.resident_bytes() + stream.resident_bytes();
-                stats.peak_resident_bytes = stats.peak_resident_bytes.max(resident);
-            }
-            let StreamScratch {
-                kind: kind_r,
-                lat: lat_r,
-                flags: flags_r,
-                bytes: bytes_r,
-                deps: deps_r,
-                pc: pc_r,
-                mem_addr: addr_r,
-                target: target_r,
-                br_class: br_class_r,
-                fanout: fanout_r,
-                fetched_at,
-                supply_stall,
-                blocked_at_fetch,
-                blocked_at_decode,
-                decoded_at,
-                issued_at,
-                done_at,
-                waiting,
-                wake,
-                ready_pool,
-                rob,
-                ready,
-                int_div_free,
-                float_div_free,
-                ..
-            } = scratch;
-
-            // ---- commit ----
-            let mut commits = 0;
-            while commits < width {
-                let Some(head) = rob.front() else { break };
-                let hi = head as usize;
-                let done = done_at[hi & mask];
-                if done > now {
-                    break;
-                }
-                rob.pop_front();
-                commits += 1;
-                committed += 1;
-                let flags = flags_r[hi & mask];
-                let buffer_total = decoded_at[hi & mask]
-                    .saturating_sub(fetched_at[hi & mask])
-                    .saturating_sub(1);
-                let buffer_blocked =
-                    (blocked_at_decode[hi & mask] - blocked_at_fetch[hi & mask]).min(buffer_total);
-                let buffer = buffer_total - buffer_blocked;
-                let issue_wait = issued_at[hi & mask].saturating_sub(decoded_at[hi & mask]);
-                let execute = done.saturating_sub(issued_at[hi & mask]);
-                let commit_wait = now.saturating_sub(done.max(head_since)) + buffer_blocked;
-                head_since = now;
-                stage_all.add(
-                    u64::from(supply_stall[hi & mask]),
-                    buffer,
-                    1,
-                    issue_wait,
-                    execute,
-                    commit_wait,
-                );
-                if fanout_r[hi & mask] >= crit_threshold {
-                    stage_critical.add(
-                        u64::from(supply_stall[hi & mask]),
-                        buffer,
-                        1,
-                        issue_wait,
-                        execute,
-                        commit_wait,
-                    );
-                }
-                crit_table.train(pc_r[hi & mask], fanout_r[hi & mask]);
-                if flags & F_LOAD != 0 {
-                    mem.train_load_criticality(pc_r[hi & mask], fanout_r[hi & mask]);
-                }
-                if flags & F_CALL != 0 {
-                    mem.observe_call(target_r[hi & mask], now);
-                }
-            }
-
-            // ---- issue ----
-            let mut any_issued = false;
-            if iq_len > 0 {
-                if !waiting.is_empty() {
-                    waiting.retain(|&i| {
-                        let d = deps_r[i as usize & mask];
-                        let ra = done_of(done_at, mask, evict_floor, d[0])
-                            .max(done_of(done_at, mask, evict_floor, d[1]))
-                            .max(done_of(done_at, mask, evict_floor, d[2]));
-                        if ra == UNSET {
-                            return true;
-                        }
-                        if ra <= now {
-                            insert_sorted(ready_pool, i);
-                        } else {
-                            wake.push(Reverse((ra, i)));
-                        }
-                        false
-                    });
-                }
-                while let Some(&Reverse((ra, i))) = wake.peek() {
-                    if ra > now {
-                        break;
-                    }
-                    wake.pop();
-                    insert_sorted(ready_pool, i);
-                }
-                let selection: &[u32] = if prioritize {
-                    ready.clear();
-                    ready.extend_from_slice(ready_pool);
-                    ready.sort_by_key(|&i| !crit_table.is_critical(pc_r[i as usize & mask]));
-                    ready
-                } else {
-                    ready_pool
-                };
-                let mut issued_count = 0u32;
-                let mut used = FuUse::default();
-                for &i in selection {
-                    if issued_count >= width {
-                        break;
-                    }
-                    let hi = i as usize;
-                    let kind = kind_r[hi & mask];
-                    if !used.try_take(kind, pool, now, int_div_free, float_div_free) {
-                        continue;
-                    }
-                    let latency = if kind == K_MEM {
-                        let addr = addr_r[hi & mask];
-                        if flags_r[hi & mask] & F_LOAD != 0 {
-                            let lat = mem.data_access(addr, now);
-                            mem.observe_load(pc_r[hi & mask], addr, now);
-                            lat
-                        } else {
-                            let _ = mem.data_access(addr, now);
-                            u64::from(lat_r[hi & mask])
-                        }
-                    } else {
-                        u64::from(lat_r[hi & mask])
-                    };
-                    issued_at[hi & mask] = now;
-                    let done = now + latency;
-                    done_at[hi & mask] = done;
-                    if kind == K_INT_DIV {
-                        if let Some(free) = int_div_free.iter_mut().find(|f| **f <= now) {
-                            *free = done;
-                        }
-                    } else if kind == K_FLOAT_DIV {
-                        if let Some(free) = float_div_free.iter_mut().find(|f| **f <= now) {
-                            *free = done;
-                        }
-                    }
-                    if fetch_blocked_on == Some(i) {
-                        fetch_blocked_on = None;
-                        fetch_resume_at = done + redirect_penalty;
-                        resume_reason = SupplyStall::Branch;
-                    }
-                    any_issued = true;
-                    issued_count += 1;
-                }
-                if any_issued {
-                    ready_pool.retain(|&i| issued_at[i as usize & mask] == UNSET);
-                    iq_len -= issued_count as usize;
-                }
-            }
-
-            // ---- dispatch (decode + rename) ----
-            let fq_was = fq_head;
-            let mut dispatched_this_cycle = 0u32;
-            let mut backend_blocked = false;
-            if now >= dispatch_block_until {
-                let mut dispatched = 0;
-                while dispatched < width && fq_head < fetch_idx {
-                    let hi = fq_head;
-                    if now < fetched_at[hi & mask] + 1 {
-                        break; // still in the decode pipe
-                    }
-                    if flags_r[hi & mask] & F_CDP != 0 {
-                        fq_head += 1;
-                        decoded_at[hi & mask] = now;
-                        blocked_at_decode[hi & mask] = blocked_cum;
-                        done_at[hi & mask] = now;
-                        cdp_switches += 1;
-                        dispatch_block_until = now + cdp_stall;
-                        continue;
-                    }
-                    if rob.len() >= rob_cap || iq_len >= iq_cap {
-                        backend_blocked = dispatched == 0;
-                        break;
-                    }
-                    fq_head += 1;
-                    decoded_at[hi & mask] = now;
-                    blocked_at_decode[hi & mask] = blocked_cum;
-                    issued_at[hi & mask] = UNSET;
-                    done_at[hi & mask] = UNSET;
-                    rob.push_back(hi as u32);
-                    waiting.push(hi as u32);
-                    iq_len += 1;
-                    dispatched += 1;
-                }
-                dispatched_this_cycle = dispatched;
-            }
-            if backend_blocked {
-                blocked_cum += 1;
-            }
-
-            // ---- fetch ----
-            let fetch_was = fetch_idx;
-            let fetch_stall: Option<CycleClass> = if fetch_idx < n {
-                if fetch_blocked_on.is_some() {
-                    pending_supply += 1;
-                    Some(CycleClass::FetchStallBranch)
-                } else if now < fetch_resume_at {
-                    pending_supply += 1;
-                    match resume_reason {
-                        SupplyStall::ICacheMiss => Some(CycleClass::FetchStallICache),
-                        SupplyStall::Branch => Some(CycleClass::FetchStallBranch),
-                        SupplyStall::None => None,
-                    }
-                } else {
-                    let mut stall: Option<CycleClass> = None;
-                    let mut bytes = cfg.fetch_bytes_per_cycle;
-                    let mut delivered = 0u32;
-                    while delivered < insn_cap && fetch_idx < n {
-                        if fetch_idx - fq_head >= fetch_buffer {
-                            if delivered == 0 && dispatched_this_cycle == 0 {
-                                stall = Some(CycleClass::FetchStallBackpressure);
-                            }
-                            break;
-                        }
-                        let idx = fetch_idx;
-                        let pc = pc_r[idx & mask];
-                        let insn_bytes = bytes_r[idx & mask];
-                        let flags = flags_r[idx & mask];
-                        let line = pc & !63;
-                        if current_line != Some(line) {
-                            let latency = mem.ifetch(pc, now);
-                            current_line = Some(line);
-                            if latency > icache_hit {
-                                fetch_resume_at = now + latency;
-                                resume_reason = SupplyStall::ICacheMiss;
-                                if delivered == 0 {
-                                    stall = Some(CycleClass::FetchStallICache);
-                                    pending_supply += 1;
-                                }
-                                break;
-                            }
-                        }
-                        if u64::from(insn_bytes) > bytes {
-                            break; // per-cycle fetch bandwidth exhausted
-                        }
-                        bytes -= u64::from(insn_bytes);
-                        fetched_at[idx & mask] = now;
-                        blocked_at_fetch[idx & mask] = blocked_cum;
-                        supply_stall[idx & mask] = pending_supply;
-                        if insn_bytes == 2 {
-                            thumb_fetched += 1;
-                        }
-                        fetch_idx += 1;
-                        delivered += 1;
-
-                        if flags & F_BRANCH == 0 {
-                            continue;
-                        }
-                        let taken = flags & F_TAKEN != 0;
-                        if cfg.perfect_branch {
-                            if taken {
-                                current_line = None; // discontinuity, no bubble
-                            }
-                            continue;
-                        }
-                        let correct = match br_class_r[idx & mask] {
-                            BR_COND => bpu.predict_conditional(pc, taken),
-                            BR_CALL => {
-                                bpu.push_return(pc + u64::from(insn_bytes));
-                                true
-                            }
-                            BR_RET => bpu.predict_return(target_r[idx & mask]),
-                            _ => true,
-                        };
-                        if !correct {
-                            fetch_blocked_on = Some(idx as u32);
-                            current_line = None;
-                            break;
-                        }
-                        if taken {
-                            if flags & F_SEQ != 0 {
-                                break;
-                            }
-                            fetch_resume_at = now + taken_resume;
-                            resume_reason = SupplyStall::Branch;
-                            current_line = None;
-                            break;
-                        }
-                    }
-                    if delivered > 0 {
-                        pending_supply = 0;
-                    }
-                    stall
-                }
-            } else {
-                None
-            };
-
-            // ---- ledger: classify this cycle, exactly once ----
-            let class = if let Some(stall) = fetch_stall {
-                stall
-            } else if commits > 0 {
-                CycleClass::Commit
-            } else if let Some(head) = rob.front() {
-                let hi = head as usize;
-                if issued_at[hi & mask] != UNSET {
-                    if flags_r[hi & mask] & F_MEM != 0 {
-                        CycleClass::Mem
-                    } else {
-                        CycleClass::Execute
-                    }
-                } else {
-                    CycleClass::Issue
-                }
-            } else if fq_head < fetch_idx || dispatched_this_cycle > 0 {
-                CycleClass::Decode
-            } else {
-                CycleClass::SquashIdle
-            };
-            ledger.charge(class);
-
-            // ---- idle-window skip ----
-            if commits == 0
-                && !any_issued
-                && dispatched_this_cycle == 0
-                && fq_head == fq_was
-                && fetch_idx == fetch_was
-                && ready_pool.is_empty()
-            {
-                let mut next = UNSET;
-                if let Some(head) = rob.front() {
-                    let done = done_at[head as usize & mask];
-                    if done != UNSET {
-                        next = next.min(done);
-                    }
-                }
-                if let Some(&Reverse((ra, _))) = wake.peek() {
-                    next = next.min(ra);
-                }
-                if fetch_idx < n && fetch_blocked_on.is_none() && fetch_resume_at > now {
-                    next = next.min(fetch_resume_at);
-                }
-                if now < dispatch_block_until {
-                    next = next.min(dispatch_block_until);
-                }
-                if fq_head < fetch_idx
-                    && rob.len() < rob_cap
-                    && iq_len < iq_cap
-                    && now >= dispatch_block_until
-                {
-                    next = next.min(fetched_at[fq_head & mask] + 1);
-                }
-                if next != UNSET && next > now + 1 {
-                    let skipped = next - now - 1;
-                    ledger.charge_many(class, skipped);
-                    if fetch_idx < n && (fetch_blocked_on.is_some() || now + 1 < fetch_resume_at) {
-                        pending_supply += skipped as u32;
-                    }
-                    if backend_blocked {
-                        blocked_cum += skipped;
-                    }
-                    now += skipped;
-                }
-            }
-
-            now += 1;
-            if now > hard_cap {
-                panic!("simulation exceeded the cycle cap: deadlock in the pipeline model");
-            }
-        }
-
-        debug_assert!(
-            ledger.check(now).is_ok(),
-            "cycle ledger must partition the run: {:?}",
-            ledger.check(now)
-        );
-        let fetch_stalls = FetchStalls {
-            icache: ledger.fetch_stall_icache,
-            branch: ledger.fetch_stall_branch,
-            backpressure: ledger.fetch_stall_backpressure,
-        };
-        let result = SimResult {
-            cycles: now,
-            committed,
-            cdp_switches,
-            fetch_stalls,
-            stage_all,
-            stage_critical,
-            bpu: bpu.stats(),
-            mem: mem.stats(),
-            thumb_fetched,
-        };
-        scratch.models = Some((mem, bpu, crit_table));
-        (result, ledger, stats)
+        let (result, ledger) = self.run_core(&mut window, core, n);
+        (result, ledger, window.stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use critic_isa::{Insn, Opcode, Reg};
     use critic_mem::MemConfig;
     use critic_workloads::{
-        ExecutionPath, GenParams, Program, ProgramGenerator, StreamConfig, Trace, TraceStream,
+        ExecutionPath, GenParams, InsnUid, Program, ProgramGenerator, StreamConfig, TaggedInsn,
+        Trace, TraceStream,
     };
 
     use super::*;
@@ -821,6 +407,42 @@ mod tests {
                 Some(want) => assert_eq!(&out, want),
             }
         }
+    }
+
+    #[test]
+    fn cdp_dense_region_grows_the_ring_and_stays_bit_identical() {
+        // A chain of dependent divides holds the ROB head for ~200 cycles
+        // while a run of format switches — which never enter the ROB —
+        // streams through decode behind it, stretching the live span far
+        // past the initial ring capacity. The region goes into the path's
+        // hottest block, so after its first visit it fetches from a warm
+        // i-cache at full bandwidth.
+        let (mut program, path) = workload(13, 12_000);
+        let mut visits = std::collections::BTreeMap::new();
+        for block in &path.blocks {
+            *visits.entry(block.index()).or_insert(0) += 1;
+        }
+        let (&hot, _) = visits.iter().max_by_key(|(_, &count)| count).unwrap();
+        let div = Insn::alu(Opcode::Sdiv, Reg::R1, &[Reg::R1, Reg::R2]);
+        let region: Vec<TaggedInsn> = std::iter::repeat_n(div, 16)
+            .chain(std::iter::repeat_n(Insn::cdp(1), 512))
+            .enumerate()
+            .map(|(k, insn)| TaggedInsn::new(insn, InsnUid(1_000_000 + k as u32)))
+            .collect();
+        program.blocks[hot].insns.splice(0..0, region);
+        let mut cpu = CpuConfig::google_tablet();
+        cpu.rob_entries = 16;
+        let sim = Simulator::new(cpu, MemConfig::google_tablet());
+        let want = materialized(&sim, &program, &path);
+        let mut scratch = StreamScratch::new();
+        let mut stream = TraceStream::new(&program, &path, stream_cfg(1));
+        let (result, ledger, stats) = sim.run_streamed(&mut stream, &mut scratch);
+        assert!(
+            stats.grows > 0,
+            "the CDP run must outgrow the ring: {stats:?}"
+        );
+        assert!(stats.ring_capacity.is_power_of_two());
+        assert_eq!((result, ledger), want);
     }
 
     #[test]
